@@ -268,8 +268,12 @@ func main() {
 	fmt.Printf("machine: %s, %d processors (%d nodes), policy %s\n",
 		cfg.Name, cfg.NProcs, cfg.NNodes(), policy)
 	if run.EngineUsed == exec.EngineParallel {
-		fmt.Printf("engine:  parallel (%d epochs committed, %d serial fallbacks)\n",
-			run.EpochsCommitted, run.EpochsFallback)
+		causes := run.FallbackBreakdown()
+		if causes != "" {
+			causes = " [" + causes + "]"
+		}
+		fmt.Printf("engine:  parallel (%d epochs committed, %d serial fallbacks%s, %d sat out)\n",
+			run.EpochsCommitted, run.EpochsFallback, causes, run.EpochsSkipped)
 	}
 	if run.TierUsed == exec.TierClassic {
 		fmt.Printf("tier:    classic interpreter\n")

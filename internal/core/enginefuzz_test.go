@@ -39,8 +39,9 @@ func genProgram(rng *rand.Rand) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "      program fz\n      integer n\n      parameter (n = %d)\n", n)
 	b.WriteString("      real*8 a(n, n), b(n, n), c(n)\n")
-	if sp := fuzzSpecs[rng.Intn(len(fuzzSpecs))]; sp != "" {
-		fmt.Fprintf(&b, "c$distribute a%s\n", sp)
+	aSpec := fuzzSpecs[rng.Intn(len(fuzzSpecs))]
+	if aSpec != "" {
+		fmt.Fprintf(&b, "c$distribute a%s\n", aSpec)
 	}
 	if sp := fuzzSpecs[rng.Intn(len(fuzzSpecs))]; sp != "" {
 		fmt.Fprintf(&b, "c$distribute b%s\n", sp)
@@ -75,9 +76,11 @@ func genProgram(rng *rand.Rand) string {
         end do
       end do
 `, clause, 1+rng.Intn(5))
-		case 1: // redistribute a
-			fmt.Fprintf(&b, "c$redistribute a%s\n",
-				[]string{"(*, block)", "(block, *)", "(cyclic(4), *)"}[rng.Intn(3)])
+		case 1: // redistribute a (only a distributed array may be)
+			to := []string{"(*, block)", "(block, *)", "(cyclic(4), *)"}[rng.Intn(3)]
+			if aSpec != "" {
+				fmt.Fprintf(&b, "c$redistribute a%s\n", to)
+			}
 		case 2: // explicit barrier with a cross-processor read
 			fmt.Fprintf(&b, `c$doacross local(i) shared(c)
       do i = 1, n
@@ -152,12 +155,24 @@ func fuzzRunTier(t *testing.T, src string, np int, eng exec.Engine, tier exec.Ti
 
 // TestEngineFuzzSerialVsParallel is the randomized equivalence harness.
 func TestEngineFuzzSerialVsParallel(t *testing.T) {
-	seeds := []int64{1, 2, 3, 4, 5, 6}
+	seeds := []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}
 	procs := []int{1, 4, 16, 96}
 	if testing.Short() {
-		seeds = seeds[:3]
+		seeds = seeds[:6]
 		procs = []int{1, 4, 16}
 	}
+	// Scout-path coverage: how many epochs the parallel runs speculated.
+	// The speculation governor trades these away on programs that keep
+	// falling back (the seed list was doubled when it went in, to keep the
+	// total where it was); if either count reaches zero the harness has
+	// stopped testing the path it exists for.
+	var committed, fallback, skipped int64
+	defer func() {
+		t.Logf("speculated epochs: %d committed + %d fallback (%d sat out)", committed, fallback, skipped)
+		if committed == 0 || fallback == 0 {
+			t.Errorf("scout path not exercised (%d committed, %d fallback): add seeds", committed, fallback)
+		}
+	}()
 	for _, seed := range seeds {
 		src := genProgram(rand.New(rand.NewSource(seed)))
 		for _, np := range procs {
@@ -171,6 +186,9 @@ func TestEngineFuzzSerialVsParallel(t *testing.T) {
 			for _, memrun := range []string{"on", "off"} {
 				s, ssum, sarr := fuzzRunMem(t, src, np, exec.EngineSerial, memrun)
 				p, psum, parr := fuzzRunMem(t, src, np, exec.EngineParallel, memrun)
+				committed += p.EpochsCommitted
+				fallback += p.EpochsFallback
+				skipped += p.EpochsSkipped
 				if ref == nil {
 					ref, refSum, refArr = s, ssum, sarr
 				}

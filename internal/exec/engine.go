@@ -19,10 +19,16 @@ type Engine int
 
 const (
 	// EngineAuto picks parallel when both the simulated machine and the
-	// host have more than one processor, serial otherwise. The DSM_ENGINE
-	// environment variable (serial|parallel|auto) overrides Auto — but
-	// never an explicit Options.Engine — so CI can force an engine across
-	// an existing test suite.
+	// host (GOMAXPROCS) have more than one processor, serial otherwise.
+	// Parallel is a ceiling, not a promise: a region speculates only if it
+	// got a second host worker, an epoch only if two threads are
+	// runnable, and the speculation governor (parallel.go) runs the
+	// stretches of a program that keep falling back through the serial
+	// engine's own loop, so a program that never commits costs about what
+	// serial does. The DSM_ENGINE environment variable
+	// (serial|parallel|auto) overrides Auto — but never an explicit
+	// Options.Engine — so CI can force an engine across an existing test
+	// suite.
 	EngineAuto Engine = iota
 	EngineSerial
 	EngineParallel

@@ -13,6 +13,7 @@ package exec
 
 import (
 	"fmt"
+	"strings"
 
 	"dsmdist/internal/bytecode"
 	"dsmdist/internal/codegen"
@@ -79,10 +80,30 @@ type Result struct {
 	// resolution); diagnostics only.
 	TierUsed Tier
 	// EpochsCommitted / EpochsFallback count the parallel engine's
-	// speculative epochs that published vs. re-ran serially (always 0
-	// under the serial engine); diagnostics only.
+	// speculative epochs that published vs. re-ran serially;
+	// FallbackCauses splits the fallbacks by memsim.AbortReason, and
+	// EpochsSkipped is how many epochs the speculation governor sat out
+	// after them (each sit-out counted in full even when the region ended
+	// inside it). All zero under the serial engine. Host-side diagnostics
+	// only: they never enter core.ResultDoc, core.JobKey or the series
+	// rows, which are engine-independent.
 	EpochsCommitted int64
 	EpochsFallback  int64
+	EpochsSkipped   int64
+	FallbackCauses  [memsim.NumAbortReasons]int64
+}
+
+// FallbackBreakdown renders FallbackCauses as "9 intervention, 4
+// validation": causes in memsim.AbortReason order, zero counts omitted,
+// empty when nothing fell back.
+func (r *Result) FallbackBreakdown() string {
+	var parts []string
+	for cause, n := range r.FallbackCauses {
+		if n > 0 {
+			parts = append(parts, fmt.Sprintf("%d %v", n, memsim.AbortReason(cause)))
+		}
+	}
+	return strings.Join(parts, ", ")
 }
 
 // Seconds converts the run's cycles to seconds on the simulated clock.
@@ -118,6 +139,7 @@ func RunLoaded(rt *rtl.Runtime, opts Options) (*Result, error) {
 	engine := resolveEngine(opts.Engine, cfg.NProcs)
 	tier := resolveTier(opts.Tier)
 	workers := resolveWorkers(opts.Workers)
+	gov := governor{}
 	costs := bytecode.NewCosts(cfg)
 
 	// Derived per-function metadata (out-arg buffer sizes); idempotent,
@@ -155,7 +177,7 @@ func RunLoaded(rt *rtl.Runtime, opts Options) (*Result, error) {
 		case bytecode.AtParCall:
 			var err error
 			if engine == EngineParallel {
-				err = runRegionWithWorkers(rt, costs, serial, quantum, maxQuanta, workers, acc)
+				err = runRegionWithWorkers(rt, costs, serial, quantum, maxQuanta, workers, gov, acc)
 			} else {
 				err = runRegion(rt, costs, serial, quantum, maxQuanta, acc)
 			}
@@ -173,7 +195,7 @@ func RunLoaded(rt *rtl.Runtime, opts Options) (*Result, error) {
 // an explicit Workers bypasses the pool so tests can force concurrency on
 // small hosts.
 func runRegionWithWorkers(rt *rtl.Runtime, costs *bytecode.Costs, serial *bytecode.Thread,
-	quantum int, maxQuanta int64, workers int, acc *Result) error {
+	quantum int, maxQuanta int64, workers int, gov governor, acc *Result) error {
 
 	np := rt.Cfg.NProcs
 	if workers <= 0 {
@@ -184,7 +206,7 @@ func runRegionWithWorkers(rt *rtl.Runtime, costs *bytecode.Costs, serial *byteco
 	if workers > np {
 		workers = np
 	}
-	return runRegionParallel(rt, costs, serial, quantum, maxQuanta, workers, acc)
+	return runRegionParallel(rt, costs, serial, quantum, maxQuanta, workers, gov, acc)
 }
 
 func finish(r *Result) {

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"dsmdist/internal/bytecode"
+	"dsmdist/internal/memsim"
 	"dsmdist/internal/obs"
 	"dsmdist/internal/rtl"
 )
@@ -32,6 +33,11 @@ import (
 //     back and re-runs the same window through serialWindow — literally
 //     the serial engine's loop — so divergence is impossible by
 //     construction.
+//  5. Governor: fallbacks come in long runs (a plain or first-touch
+//     kernel misses into other processors' caches epoch after epoch), so
+//     after a fallback the run sits out a doubling number of epochs and
+//     executes the failed epoch and its whole sit-out as one serialWindow
+//     call (see governor).
 var errScoutRTC = errors.New("exec: runtime call aborted speculative epoch")
 
 // gateRT wraps the real runtime so speculative quanta cannot mutate
@@ -50,158 +56,228 @@ func (g *gateRT) RTCall(t *bytecode.Thread, id int, args []int64) (int64, error)
 	case bytecode.RTBarrier, bytecode.RTPortionLo, bytecode.RTPortionHi, bytecode.RTNestGrid:
 		return g.rt.RTCall(t, id, args)
 	}
-	g.rt.Sys.AbortScoutRTC(t.Proc)
+	g.rt.Sys.PoisonScout(t.Proc, memsim.AbortRTC)
 	return 0, errScoutRTC
 }
+
+// maxSitOut caps the governor's sit-out, in epochs: a program that never
+// commits still speculates once every maxSitOut+1 epochs, which bounds both
+// the overhead (one wasted scout pass in 65) and how long a phase change —
+// a reshaped loop after a plain one — goes unnoticed.
+const maxSitOut = 64
+
+// governor is the run's speculation governor. It decides, from simulated
+// outcomes only (commit or fallback — never a host clock, so epoch counts
+// repeat exactly across runs and worker counts), how long the run stops
+// speculating after an epoch fell back: 1 epoch after the first fallback,
+// doubling with every further one up to maxSitOut, and back to none at the
+// next commit. One governor serves the whole run and keeps, per region
+// function, how many epochs that function's last fallback sat out (0 once
+// one of its epochs commits), so a doacross re-entered by an iteration loop
+// starts from what its own last entry learned, whatever the loops in
+// between did (see regionEnded). What is left of a sit-out when the region
+// ends is not carried over, so every entry speculates at least once.
+// Identity is untouched by construction: the governor only chooses how far
+// the serial window after a fallback extends, and any stretch of a region
+// may run through serialWindow.
+type governor map[int]int
+
+// fellBack returns how many epochs to sit out after the one that just
+// fell back.
+func (g governor) fellBack(fn int) int64 {
+	n := min(max(1, 2*g[fn]), maxSitOut)
+	g[fn] = n
+	return int64(n)
+}
+
+func (g governor) committed(fn int) { g[fn] = 0 }
+
+// regionEnded closes an entry of fn's region. The entry boundary is where
+// the data's state is likeliest to have changed (other code ran in between),
+// so what the entry learned is carried at a discount: the next entry's first
+// fallback sits out half what this entry's last one did. A loop that cannot
+// commit then costs two doomed epochs an entry instead of one per doubling
+// step; a short loop whose every entry opens with a fallback but can commit
+// after it works its way back in over a few entries, where carrying the
+// level whole would sit every later entry out from its first epoch to its
+// last.
+func (g governor) regionEnded(fn int) { g[fn] /= 4 }
 
 // scoutResult is one scout's outcome for an epoch.
 type scoutResult struct {
 	quanta  int64 // StepCycles calls made (== serial scheduling rounds)
 	done    bool  // thread finished cleanly
 	barrier bool  // thread parked at an explicit barrier
-	abort   bool  // anything that demands the serial fallback
+}
+
+// specRegion is one doacross region under the speculative epoch engine:
+// the shared region state plus the epoch scratch, allocated once a region
+// so a committed epoch allocates nothing beyond its goroutine fan-out.
+type specRegion struct {
+	*regionRun
+	gov       governor
+	fn        int // the region function: the governor's key
+	workers   int // host goroutines an epoch may use, the caller's included
+	acc       *Result
+	bufs      []*obs.ProcBuffer // nil without a recorder
+	snaps     []*bytecode.ThreadSnapshot
+	results   []scoutResult
+	cands     []int
+	replayIdx []int // per proc: next buffered quantum to replay
+}
+
+func newSpecRegion(rt *rtl.Runtime, costs *bytecode.Costs, serial *bytecode.Thread,
+	quantum int, maxQuanta int64, workers int, gov governor, acc *Result) *specRegion {
+
+	rr := newRegionRun(rt, costs, serial, quantum, maxQuanta, &gateRT{rt: rt})
+	sr := &specRegion{
+		regionRun: rr,
+		gov:       gov,
+		fn:        serial.ParFn,
+		workers:   workers,
+		acc:       acc,
+		snaps:     make([]*bytecode.ThreadSnapshot, rr.np),
+		results:   make([]scoutResult, rr.np),
+		cands:     make([]int, 0, rr.np),
+		replayIdx: make([]int, rr.np),
+	}
+	if rr.rec != nil {
+		sr.bufs = make([]*obs.ProcBuffer, rr.np)
+		for p := range sr.bufs {
+			sr.bufs[p] = obs.NewProcBuffer()
+		}
+	}
+	return sr
 }
 
 // runRegionParallel executes one doacross region with the speculative
-// epoch engine. workers >= 1 host goroutines (including the caller's) run
-// the scouts; with workers == 1 the epochs still go through the scout
-// machinery, which keeps the engine's behavior independent of host size.
+// epoch engine on workers >= 1 host goroutines, the caller's included. An
+// epoch with fewer than two workers (a dry hostpool, Workers 1) or fewer
+// than two runnable threads skips the scout machinery and runs through
+// serialWindow.
 func runRegionParallel(rt *rtl.Runtime, costs *bytecode.Costs, serial *bytecode.Thread,
-	quantum int, maxQuanta int64, workers int, acc *Result) error {
+	quantum int, maxQuanta int64, workers int, gov governor, acc *Result) error {
 
-	gate := &gateRT{rt: rt}
-	rr := newRegionRun(rt, costs, serial, quantum, maxQuanta, gate)
-	sys := rr.sys
-
-	var bufs []*obs.ProcBuffer
-	if rr.rec != nil {
-		bufs = make([]*obs.ProcBuffer, rr.np)
-		for p := range bufs {
-			bufs[p] = obs.NewProcBuffer()
+	sr := newSpecRegion(rt, costs, serial, quantum, maxQuanta, workers, gov, acc)
+	for sr.remaining > 0 {
+		if err := sr.epoch(); err != nil {
+			return err
 		}
 	}
-	snaps := make([]*bytecode.ThreadSnapshot, rr.np)
-	results := make([]scoutResult, rr.np)
-	cands := make([]int, 0, rr.np)
+	gov.regionEnded(sr.fn)
+	return sr.finishRegion(acc)
+}
 
-	for rr.remaining > 0 {
-		// Plan the next epoch: the window starts at the smallest runnable
-		// clock and spans one cycleQuantum.
-		minC := int64(-1)
-		for p := 0; p < rr.np; p++ {
-			if rr.done[p] || rr.atBarrier[p] {
-				continue
-			}
-			if c := sys.Clock(p); minC < 0 || c < minC {
-				minC = c
-			}
-		}
-		if minC < 0 {
-			// Everyone parked: release the explicit barrier, exactly one
-			// serial scheduling round.
-			rr.rounds++
-			if rr.rounds > rr.maxQuanta {
-				return errRegionBudget(rr.maxQuanta)
-			}
-			if err := rr.releaseBarrier(); err != nil {
-				return err
-			}
+// epoch plans and runs the region's next epoch: a barrier release, a serial
+// window, or a speculative pass that commits or falls back.
+func (sr *specRegion) epoch() error {
+	rr, sys := sr.regionRun, sr.sys
+
+	// The window starts at the smallest runnable clock and spans one
+	// cycleQuantum.
+	minC := int64(-1)
+	for p := 0; p < rr.np; p++ {
+		if rr.done[p] || rr.atBarrier[p] {
 			continue
 		}
-		epochEnd := minC + cycleQuantum
-		cands = cands[:0]
-		for p := 0; p < rr.np; p++ {
-			if !rr.done[p] && !rr.atBarrier[p] && sys.Clock(p) < epochEnd {
-				cands = append(cands, p)
-			}
+		if c := sys.Clock(p); minC < 0 || c < minC {
+			minC = c
 		}
-		if len(cands) < 2 || workers < 2 {
-			// Not worth speculating; run the window serially (identical
-			// by definition).
-			if err := rr.serialWindow(epochEnd); err != nil {
-				return err
-			}
-			continue
-		}
-
-		// Speculate: snapshot threads, arm scouts, fan out.
-		for _, c := range cands {
-			snaps[c] = rr.threads[c].Snapshot()
-			var buf *obs.ProcBuffer
-			if bufs != nil {
-				buf = bufs[c]
-			}
-			sys.ArmScout(c, buf)
-			results[c] = scoutResult{}
-		}
-		rr.runScouts(cands, epochEnd, workers, bufs, results)
-
-		ok := true
-		for _, c := range cands {
-			if results[c].abort || sys.ScoutAborted(c) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			ok = sys.ValidateScouts(cands)
-		}
-		if !ok {
-			for _, c := range cands {
-				sys.AbortScout(c)
-				rr.threads[c].Restore(snaps[c])
-			}
-			acc.EpochsFallback++
-			rr.rec.EpochOutcome(false)
-			if err := rr.serialWindow(epochEnd); err != nil {
-				return err
-			}
-			continue
-		}
-		acc.EpochsCommitted++
-
-		// Commit: publish overlays, account the scheduling rounds the
-		// serial engine would have spent, replay observability events in
-		// serial order, and apply thread outcomes.
-		var rounds int64
-		for _, c := range cands {
-			sys.CommitScout(c)
-			rounds += results[c].quanta
-		}
-		rr.rounds += rounds
+	}
+	if minC < 0 {
+		// Everyone parked: release the explicit barrier, exactly one
+		// serial scheduling round.
+		rr.rounds++
 		if rr.rounds > rr.maxQuanta {
 			return errRegionBudget(rr.maxQuanta)
 		}
-		if rr.rec != nil {
-			rr.replayEpoch(cands, bufs)
-		}
-		// Everything replayed so far is in committed serial order: let the
-		// streaming layer flush it.
-		rr.rec.EpochOutcome(true)
-		for _, c := range cands {
-			if results[c].done {
-				rr.done[c] = true
-				rr.remaining--
-			}
-			if results[c].barrier {
-				rr.atBarrier[c] = true
-			}
+		return rr.releaseBarrier()
+	}
+	epochEnd := minC + cycleQuantum
+	cands := sr.cands[:0]
+	for p := 0; p < rr.np; p++ {
+		if !rr.done[p] && !rr.atBarrier[p] && sys.Clock(p) < epochEnd {
+			cands = append(cands, p)
 		}
 	}
-	return rr.finishRegion(acc)
+	if len(cands) < 2 || sr.workers < 2 {
+		// Not worth speculating; run the window serially (identical by
+		// definition).
+		return rr.serialWindow(epochEnd)
+	}
+
+	// Speculate: snapshot threads, arm scouts, fan out.
+	for _, c := range cands {
+		sr.snaps[c] = rr.threads[c].SnapshotInto(sr.snaps[c])
+		var buf *obs.ProcBuffer
+		if sr.bufs != nil {
+			buf = sr.bufs[c]
+		}
+		sys.ArmScout(c, buf)
+		sr.results[c] = scoutResult{}
+	}
+	sr.runScouts(cands, epochEnd, sr.workers)
+	// The cause charged for a fallback is the lowest-numbered aborted
+	// scout's, so the tally repeats exactly like the counts.
+	var cause memsim.AbortReason
+	for _, c := range cands {
+		if cause = sys.ScoutAbortReason(c); cause != 0 {
+			break
+		}
+	}
+	if cause == 0 && !sys.ValidateScouts(cands) {
+		cause = memsim.AbortValidation
+	}
+	if cause != 0 {
+		for _, c := range cands {
+			sys.AbortScout(c)
+			rr.threads[c].Restore(sr.snaps[c])
+		}
+		// Re-run the epoch, and the sit-out the governor asks for, as
+		// one serial window.
+		skip := sr.gov.fellBack(sr.fn)
+		sr.acc.EpochsFallback++
+		sr.acc.FallbackCauses[cause]++
+		sr.acc.EpochsSkipped += skip
+		rr.rec.EpochFallback(cause.String(), skip)
+		return rr.serialWindow(epochEnd + skip*cycleQuantum)
+	}
+	sr.gov.committed(sr.fn)
+	sr.acc.EpochsCommitted++
+
+	// Commit: publish overlays, account the scheduling rounds the serial
+	// engine would have spent, replay observability events in serial
+	// order, and apply thread outcomes.
+	for _, c := range cands {
+		sys.CommitScout(c)
+		rr.rounds += sr.results[c].quanta
+	}
+	if rr.rounds > rr.maxQuanta {
+		return errRegionBudget(rr.maxQuanta)
+	}
+	if rr.rec != nil {
+		sr.replayEpoch(cands)
+	}
+	// Everything replayed so far is in committed serial order: let the
+	// streaming layer flush it.
+	rr.rec.EpochCommitted()
+	for _, c := range cands {
+		if sr.results[c].done {
+			rr.done[c] = true
+			rr.remaining--
+		}
+		if sr.results[c].barrier {
+			rr.atBarrier[c] = true
+		}
+	}
+	return nil
 }
 
 // runScouts drives the candidates' scout passes on min(workers,
 // len(cands)) goroutines, the caller's included. Each worker claims
-// candidates off a shared counter; a scout runs until its clock leaves the
-// epoch window, it finishes, parks at a barrier, or aborts.
-func (rr *regionRun) runScouts(cands []int, epochEnd int64, workers int,
-	bufs []*obs.ProcBuffer, results []scoutResult) {
-
-	nw := workers
-	if nw > len(cands) {
-		nw = len(cands)
-	}
+// candidates off a shared counter.
+func (sr *specRegion) runScouts(cands []int, epochEnd int64, workers int) {
+	nw := min(workers, len(cands))
 	var next atomic.Int32
 	work := func() {
 		for {
@@ -209,8 +285,7 @@ func (rr *regionRun) runScouts(cands []int, epochEnd int64, workers int,
 			if i >= len(cands) {
 				return
 			}
-			c := cands[i]
-			results[c] = rr.scoutOne(c, epochEnd, bufs)
+			sr.scoutOne(cands[i], epochEnd)
 		}
 	}
 	var wg sync.WaitGroup
@@ -225,64 +300,54 @@ func (rr *regionRun) runScouts(cands []int, epochEnd int64, workers int,
 	wg.Wait()
 }
 
-// scoutOne runs one processor's thread speculatively to the end of the
-// epoch window. Quanta are counted exactly as the serial scheduler would
-// (one round per StepCycles call).
-func (rr *regionRun) scoutOne(c int, epochEnd int64, bufs []*obs.ProcBuffer) scoutResult {
-	var res scoutResult
-	th := rr.threads[c]
+// scoutOne runs one processor's thread speculatively until its clock leaves
+// the epoch window, it finishes, parks at a barrier, or aborts. Quanta are
+// counted exactly as the serial scheduler would (one round per StepCycles
+// call).
+func (sr *specRegion) scoutOne(c int, epochEnd int64) {
+	res := &sr.results[c]
+	th := sr.threads[c]
 	var buf *obs.ProcBuffer
-	if bufs != nil {
-		buf = bufs[c]
+	if sr.bufs != nil {
+		buf = sr.bufs[c]
 	}
-	for {
-		if rr.sys.ScoutAborted(c) {
-			res.abort = true
-			return res
-		}
-		if rr.sys.Clock(c) >= epochEnd {
-			break
-		}
+	for sr.sys.Clock(c) < epochEnd && !res.done && !res.barrier {
 		res.quanta++
 		if buf != nil {
-			buf.BeginQuantum(rr.sys.Clock(c))
+			buf.BeginQuantum(sr.sys.Clock(c))
 		}
-		switch th.StepCycles(rr.quantum, cycleQuantum) {
+		switch th.StepCycles(sr.quantum, cycleQuantum) {
 		case bytecode.Running:
 		case bytecode.Done:
+			// Traps (including the gate's sentinel) re-execute in the
+			// serial fallback so errors surface in serial order.
 			if th.Err != nil {
-				// Traps (including the gate's sentinel) re-execute in the
-				// serial fallback so errors surface in serial order.
-				res.abort = true
-				return res
+				sr.sys.PoisonScout(c, memsim.AbortTrap)
 			}
 			res.done = true
-			goto out
 		case bytecode.AtBarrier:
 			res.barrier = true
-			goto out
 		case bytecode.AtParCall:
-			res.abort = true
-			return res
+			sr.sys.PoisonScout(c, memsim.AbortTrap)
 		}
-	}
-out:
-	if rr.sys.ScoutAborted(c) {
-		res.abort = true
-		return res
+		if sr.sys.ScoutAborted(c) {
+			return
+		}
 	}
 	if buf != nil {
 		buf.EndEpoch()
 	}
-	return res
 }
 
 // replayEpoch merges the candidates' buffered quanta by (start clock, proc
 // id) — the order the serial scheduler provably executes them in — and
 // replays their events into the recorder, synthesizing the QuantumSwitch
 // stream the serial engine would have emitted.
-func (rr *regionRun) replayEpoch(cands []int, bufs []*obs.ProcBuffer) {
-	idx := make(map[int]int, len(cands))
+func (sr *specRegion) replayEpoch(cands []int) {
+	idx, bufs := sr.replayIdx, sr.bufs
+	for _, c := range cands {
+		idx[c] = 0
+	}
 	for {
 		sel := -1
 		var selStart int64
@@ -298,11 +363,11 @@ func (rr *regionRun) replayEpoch(cands []int, bufs []*obs.ProcBuffer) {
 		if sel < 0 {
 			return
 		}
-		if sel != rr.lastSel {
-			rr.rec.QuantumSwitch(sel)
-			rr.lastSel = sel
+		if sel != sr.lastSel {
+			sr.rec.QuantumSwitch(sel)
+			sr.lastSel = sel
 		}
-		bufs[sel].ReplayQuantum(idx[sel], sel, rr.rec)
+		bufs[sel].ReplayQuantum(idx[sel], sel, sr.rec)
 		idx[sel]++
 	}
 }

@@ -350,6 +350,9 @@ type System struct {
 	// epoch<<8|proc+1 so disjointness checks need no clearing.
 	scoutEpoch int64
 	claim      []int64
+	// bwTotal is ValidateScouts' per-(node, window) booking sum, kept
+	// between epochs so a validation allocates nothing.
+	bwTotal map[int64]int32
 }
 
 // SetL0 enables or disables the host-side access fast paths (the per-

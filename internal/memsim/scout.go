@@ -29,7 +29,9 @@ import (
 	"dsmdist/internal/obs"
 )
 
-// AbortReason says why a scout gave up on its epoch.
+// AbortReason says why a scout gave up on its epoch — or, for the two
+// causes only the executor can see, why the epoch fell back although no
+// scout's memory access aborted.
 type AbortReason uint8
 
 const (
@@ -38,7 +40,21 @@ const (
 	AbortPageFault                // access to an unmapped page (first touch allocates)
 	AbortInvalidation             // write needs to invalidate other sharers
 	AbortIntervention             // miss would be serviced from another cache
+	AbortTrap                     // the thread trapped or reached a nested doacross
+	AbortValidation               // no scout aborted, but ValidateScouts refused the epoch
+	NumAbortReasons               // array bound for per-cause tallies
 )
+
+var abortNames = [NumAbortReasons]string{
+	"none", "rtcall", "pagefault", "invalidation", "intervention", "trap", "validation",
+}
+
+func (r AbortReason) String() string {
+	if r < NumAbortReasons {
+		return abortNames[r]
+	}
+	return "unknown"
+}
 
 // cacheJEntry records one overwritten cache slot (tag + excl) so an
 // aborted scout can restore its own caches. Entries are replayed in
@@ -328,7 +344,7 @@ func (s *System) ScoutAborted(p int) bool {
 	return sc != nil && sc.aborted
 }
 
-// ScoutAbortReason returns why p's scout aborted (valid after ScoutAborted).
+// ScoutAbortReason returns why p's scout aborted, or 0 when it has not.
 func (s *System) ScoutAbortReason(p int) AbortReason {
 	if sc := s.procs[p].sc; sc != nil {
 		return sc.reason
@@ -336,11 +352,12 @@ func (s *System) ScoutAbortReason(p int) AbortReason {
 	return abortNone
 }
 
-// AbortScoutRTC is called by the executor's runtime gate when a scout
-// reaches a non-barrier runtime call.
-func (s *System) AbortScoutRTC(p int) {
+// PoisonScout is the executor's way to abort p's scout for a cause the
+// memory system cannot see: a gated runtime call (AbortRTC) or a trapped
+// thread (AbortTrap). The first cause recorded for an epoch sticks.
+func (s *System) PoisonScout(p int, r AbortReason) {
 	if sc := s.procs[p].sc; sc != nil {
-		sc.abort(AbortRTC)
+		sc.abort(r)
 	}
 }
 
@@ -423,7 +440,11 @@ func (s *System) ValidateScouts(procs []int) bool {
 	// And the combined bookings per (node, window) must still fit under
 	// the cap — all-zero-delay scouts each checked only their own share.
 	if s.bwCap > 0 {
-		total := make(map[int64]int32)
+		if s.bwTotal == nil {
+			s.bwTotal = make(map[int64]int32)
+		}
+		total := s.bwTotal
+		clear(total)
 		for _, p := range procs {
 			for key, n := range s.procs[p].sc.bwBook {
 				total[key] += n

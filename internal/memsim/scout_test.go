@@ -226,3 +226,23 @@ func checkSameState(t *testing.T, a, b *System, nprocs int) {
 		t.Fatal("pageMiss diverges")
 	}
 }
+
+// TestAbortReasonNames: every cause a fallback tally can hold has its own
+// printable name (dsmrun's engine line and the /snapshot engine block key
+// on them).
+func TestAbortReasonNames(t *testing.T) {
+	seen := map[string]AbortReason{}
+	for r := AbortReason(0); r < NumAbortReasons; r++ {
+		name := r.String()
+		if name == "" || name == "unknown" {
+			t.Errorf("reason %d has no name", r)
+		}
+		if prev, dup := seen[name]; dup {
+			t.Errorf("reasons %d and %d share the name %q", prev, r, name)
+		}
+		seen[name] = r
+	}
+	if got := NumAbortReasons.String(); got != "unknown" {
+		t.Errorf("out-of-range reason prints %q", got)
+	}
+}

@@ -266,11 +266,11 @@ type Recorder struct {
 	procObs []ProcObs
 
 	// Engine health, published by the parallel engine at each epoch
-	// boundary (EpochOutcome). Host-side diagnostics only: the counters
-	// never feed the snapshot time-series rows, which must stay
-	// engine-independent, but the live /snapshot view reports them.
-	epochsCommitted int64
-	epochsFallback  int64
+	// boundary (EpochCommitted / EpochFallback). Host-side diagnostics
+	// only: the counters never feed the snapshot time-series rows, which
+	// must stay engine-independent, but the live /snapshot view reports
+	// them.
+	engine SnapshotEngine
 }
 
 // NewRecorder creates a recorder for one run on the given machine.
@@ -784,31 +784,38 @@ func (r *Recorder) Finish(finalClock int64) {
 	}
 }
 
-// EpochOutcome records the disposition of one parallel-engine epoch:
-// committed (scout results replayed verbatim) or fallback (epoch re-run
-// serially after a divergence). Host-side diagnostics only — it must not
-// advance the simulated-time watermark or touch anything the snapshot
-// series reads, because the serial engine never calls it and series rows
-// are engine-independent. Epoch commit is also a flush point for the
-// stream sink: everything replayed so far is in serial event order.
-func (r *Recorder) EpochOutcome(committed bool) {
+// EpochCommitted and EpochFallback record the disposition of one
+// parallel-engine epoch: committed (scout results replayed verbatim) or
+// fallback (re-run serially, for the named cause, with the governor sitting
+// out the next `skipped` epochs in the same serial window). Host-side
+// diagnostics only — they must not advance the simulated-time watermark or
+// touch anything the snapshot series reads, because the serial engine never
+// calls them and series rows are engine-independent. An epoch boundary is
+// also a flush point for the stream sink: everything replayed so far is in
+// serial event order.
+func (r *Recorder) EpochCommitted() {
 	if r == nil {
 		return
 	}
-	if committed {
-		r.epochsCommitted++
-	} else {
-		r.epochsFallback++
-	}
+	r.engine.EpochsCommitted++
 	if r.trace != nil {
 		r.trace.flushSink()
 	}
 }
 
-// EpochStats returns the parallel engine's epoch outcomes (both zero under
-// the serial engine).
-func (r *Recorder) EpochStats() (committed, fallback int64) {
-	return r.epochsCommitted, r.epochsFallback
+func (r *Recorder) EpochFallback(cause string, skipped int64) {
+	if r == nil {
+		return
+	}
+	r.engine.EpochsFallback++
+	r.engine.EpochsSkipped += skipped
+	if r.engine.FallbackCauses == nil {
+		r.engine.FallbackCauses = map[string]int64{}
+	}
+	r.engine.FallbackCauses[cause]++
+	if r.trace != nil {
+		r.trace.flushSink()
+	}
 }
 
 // ProcObsAll returns a copy of the per-processor event-stream counters.

@@ -81,10 +81,15 @@ type seriesRow struct {
 	Final   bool             `json:"final,omitempty"`
 }
 
-// SnapshotEngine is the engine-health block of a live snapshot.
+// SnapshotEngine is the engine-health block of a live snapshot: the
+// parallel engine's epochs that committed, fell back (by cause), and were
+// sat out by the speculation governor. All zero under the serial engine;
+// host-side diagnostics that appear nowhere but here.
 type SnapshotEngine struct {
-	EpochsCommitted int64 `json:"epochs_committed"`
-	EpochsFallback  int64 `json:"epochs_fallback"`
+	EpochsCommitted int64            `json:"epochs_committed"`
+	EpochsFallback  int64            `json:"epochs_fallback"`
+	EpochsSkipped   int64            `json:"epochs_skipped"`
+	FallbackCauses  map[string]int64 `json:"fallback_causes,omitempty"`
 }
 
 // Snapshot is the live /snapshot document: the recorder's current
@@ -345,7 +350,7 @@ func (s *Series) publishSnapshot(r *Recorder) {
 		Procs:        r.cfg.NProcs,
 		Nodes:        r.nnodes,
 		SampleCycles: s.interval,
-		Engine:       SnapshotEngine{r.epochsCommitted, r.epochsFallback},
+		Engine:       r.engine,
 		ProcObs:      r.ProcObsAll(),
 		Summary:      r.Summarize(10),
 	}
