@@ -8,32 +8,23 @@
 //	host-ms/point    host wall time per sweep point (mean)
 //
 // The sim-* metrics are properties of the simulated machine and must never
-// move under host-side optimization; the host-* metrics are the harness
-// performance and are what BENCH_sweeps.json snapshots, so the host-perf
-// trajectory accumulates in git history (run `go test -bench=. -benchtime=1x`
-// and commit the rewritten file).
+// move under host-side optimization; the host-* metrics are a quick look at
+// harness performance. The standing measurement of host performance is
+// bench/ (see BENCHMARK.json), not these.
 //
 // cmd/dsmbench runs the same experiments at full (paper/16) scale;
 // EXPERIMENTS.md records those results against the paper's.
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
-	"sort"
-	"sync"
 	"testing"
-	"time"
 
-	"dsmdist/internal/exec"
 	"dsmdist/internal/experiments"
 )
 
-// benchRows runs an experiment once per b.N, reports the last rows, and
-// records them in the BENCH_sweeps.json snapshot.
-func benchRows(b *testing.B, exp string, fn func(experiments.Sizes) ([]experiments.Row, error), s experiments.Sizes) []experiments.Row {
+// benchRows runs an experiment once per b.N and reports the last rows.
+func benchRows(b *testing.B, fn func(experiments.Sizes) ([]experiments.Row, error), s experiments.Sizes) []experiments.Row {
 	b.Helper()
 	var rows []experiments.Row
 	var err error
@@ -51,7 +42,6 @@ func benchRows(b *testing.B, exp string, fn func(experiments.Sizes) ([]experimen
 	if len(rows) > 0 {
 		b.ReportMetric(wall/float64(len(rows)), "host-ms/point")
 	}
-	recordSweep(exp, rows)
 	return rows
 }
 
@@ -59,7 +49,7 @@ func benchRows(b *testing.B, exp string, fn func(experiments.Sizes) ([]experimen
 // the LU kernel, one processor.
 func BenchmarkTable2(b *testing.B) {
 	s := experiments.Quick()
-	rows := benchRows(b, "table2", experiments.Table2, s)
+	rows := benchRows(b, experiments.Table2, s)
 	for _, r := range rows {
 		b.ReportMetric(float64(r.Cycles), "sim-cycles-"+shortLabel(r.Variant))
 	}
@@ -83,9 +73,9 @@ func shortLabel(v string) string {
 
 // figBench runs a figure experiment and reports per-variant speedups at the
 // largest processor count.
-func figBench(b *testing.B, exp string, fn func(experiments.Sizes) ([]experiments.Row, error)) {
+func figBench(b *testing.B, fn func(experiments.Sizes) ([]experiments.Row, error)) {
 	s := experiments.Quick()
-	rows := benchRows(b, exp, fn, s)
+	rows := benchRows(b, fn, s)
 	maxP := 0
 	for _, r := range rows {
 		if r.P > maxP {
@@ -101,122 +91,17 @@ func figBench(b *testing.B, exp string, fn func(experiments.Sizes) ([]experiment
 
 // BenchmarkFig4 reproduces Figure 4: NAS-LU speedups under the four
 // placement strategies.
-func BenchmarkFig4(b *testing.B) { figBench(b, "fig4", experiments.Fig4) }
+func BenchmarkFig4(b *testing.B) { figBench(b, experiments.Fig4) }
 
 // BenchmarkFig5 reproduces Figure 5: matrix-transpose speedups.
-func BenchmarkFig5(b *testing.B) { figBench(b, "fig5", experiments.Fig5) }
+func BenchmarkFig5(b *testing.B) { figBench(b, experiments.Fig5) }
 
 // BenchmarkFig6 reproduces Figure 6: 2-D convolution, small input, one- and
 // two-level parallelism.
-func BenchmarkFig6(b *testing.B) { figBench(b, "fig6", experiments.Fig6) }
+func BenchmarkFig6(b *testing.B) { figBench(b, experiments.Fig6) }
 
 // BenchmarkFig7 reproduces Figure 7: 2-D convolution, large input.
-func BenchmarkFig7(b *testing.B) { figBench(b, "fig7", experiments.Fig7) }
-
-// ---- BENCH_sweeps.json: the host-performance snapshot ----
-
-// sweepPoint is one row of a sweep, reduced to the fields the perf
-// trajectory needs: the simulated cycles (must never move) and the host
-// wall time (the metric under optimization).
-type sweepPoint struct {
-	Variant string  `json:"variant"`
-	P       int     `json:"p"`
-	Cycles  int64   `json:"cycles"`
-	WallMS  float64 `json:"wall_ms"`
-}
-
-type sweepRecord struct {
-	Exp         string       `json:"exp"`
-	TotalWallMS float64      `json:"total_wall_ms"`
-	Points      []sweepPoint `json:"points"`
-}
-
-type benchSnapshot struct {
-	RecordedAt string        `json:"recorded_at"`
-	GoVersion  string        `json:"go_version"`
-	GOOS       string        `json:"goos"`
-	GOARCH     string        `json:"goarch"`
-	NumCPU     int           `json:"num_cpu"`
-	GoMaxProcs int           `json:"gomaxprocs"`
-	Scale      string        `json:"scale"`
-	Tier       string        `json:"tier"`
-	Memrun     string        `json:"memrun"`
-	Sweeps     []sweepRecord `json:"sweeps"`
-}
-
-var snapMu sync.Mutex
-var snapRecs = map[string]sweepRecord{}
-
-func recordSweep(exp string, rows []experiments.Row) {
-	rec := sweepRecord{Exp: exp}
-	for _, r := range rows {
-		rec.TotalWallMS += r.WallMS
-		rec.Points = append(rec.Points, sweepPoint{
-			Variant: r.Variant, P: r.P, Cycles: r.Cycles, WallMS: r.WallMS,
-		})
-	}
-	snapMu.Lock()
-	snapRecs[exp] = rec
-	snapMu.Unlock()
-}
-
-// TestMain writes BENCH_sweeps.json after a benchmark run; a plain
-// `go test` records no sweeps and leaves the snapshot untouched.
-func TestMain(m *testing.M) {
-	code := m.Run()
-	if err := writeSnapshot("BENCH_sweeps.json"); err != nil {
-		fmt.Fprintf(os.Stderr, "bench snapshot: %v\n", err)
-		if code == 0 {
-			code = 1
-		}
-	}
-	os.Exit(code)
-}
-
-// memrunEnv mirrors memsim's DSM_MEMRUN resolution: the memory-run
-// batch is on unless explicitly disabled. Like the tier, it may only
-// move wall_ms, never cycles.
-func memrunEnv() string {
-	switch os.Getenv("DSM_MEMRUN") {
-	case "off", "0", "false":
-		return "off"
-	}
-	return "on"
-}
-
-func writeSnapshot(path string) error {
-	snapMu.Lock()
-	defer snapMu.Unlock()
-	if len(snapRecs) == 0 {
-		return nil
-	}
-	snap := benchSnapshot{
-		RecordedAt: time.Now().UTC().Format(time.RFC3339),
-		GoVersion:  runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		NumCPU:     runtime.NumCPU(),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		Scale:      "quick",
-		// The sweeps run at the Sizes default (auto), so the resolved
-		// tier is what actually executed; cycles are tier-independent.
-		Tier:   exec.TierAuto.Resolve().String(),
-		Memrun: memrunEnv(),
-	}
-	names := make([]string, 0, len(snapRecs))
-	for n := range snapRecs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		snap.Sweeps = append(snap.Sweeps, snapRecs[n])
-	}
-	data, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
+func BenchmarkFig7(b *testing.B) { figBench(b, experiments.Fig7) }
 
 // TestFigureShapes asserts the paper's qualitative results hold at Quick
 // scale (the full-scale record lives in EXPERIMENTS.md):

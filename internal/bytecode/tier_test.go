@@ -30,12 +30,12 @@ func boundaryProg(base int64, iters int64) *Program {
 		)
 	}
 	code = append(code,
-		Instr{Op: Ld, A: 7, B: 5, Imm: 0},  // pc24
-		Instr{Op: Add, A: 1, B: 1, C: 7},   // pc25
-		Instr{Op: St, A: 1, B: 5, Imm: 8},  // pc26
-		Instr{Op: Add, A: 2, B: 2, C: 4},   // pc27: i++
-		Instr{Op: Jmp, A: 5},               // pc28
-		Instr{Op: Halt},                    // pc29: done
+		Instr{Op: Ld, A: 7, B: 5, Imm: 0}, // pc24
+		Instr{Op: Add, A: 1, B: 1, C: 7},  // pc25
+		Instr{Op: St, A: 1, B: 5, Imm: 8}, // pc26
+		Instr{Op: Add, A: 2, B: 2, C: 4},  // pc27: i++
+		Instr{Op: Jmp, A: 5},              // pc28
+		Instr{Op: Halt},                   // pc29: done
 	)
 	return prog1(8, code)
 }

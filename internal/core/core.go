@@ -145,7 +145,7 @@ func Run(img *link.Image, cfg *machine.Config, opts RunOptions) (*exec.Result, e
 		Policy: opts.Policy, Quantum: opts.Quantum, Rec: opts.Recorder,
 		RedistSerial: opts.RedistSerial,
 		Engine:       opts.Engine, Workers: opts.Workers, MaxQuanta: opts.MaxQuanta,
-		Tier:         opts.Tier})
+		Tier: opts.Tier})
 }
 
 // Array extracts an array's logical contents from a finished run. Unit is

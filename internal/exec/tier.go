@@ -52,8 +52,8 @@ func (t Tier) String() string {
 
 // Resolve applies the DSM_TIER override and the auto rule, yielding the
 // tier a run with this setting actually executes on. Callers that record
-// host-performance measurements (bench_test's BENCH_sweeps.json) use it
-// to note the tier the numbers were taken under.
+// host-performance measurements (bench/) use it to note the tier the
+// numbers were taken under.
 func (t Tier) Resolve() Tier { return resolveTier(t) }
 
 // resolveTier applies the DSM_TIER override and the auto rule.

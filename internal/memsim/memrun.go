@@ -59,9 +59,8 @@ func memRunEnv() bool {
 // APIs fall back to the word loop when disabled, and the fuzz harnesses
 // prove both paths identical.
 func (s *System) SetMemRun(enabled bool) {
-	lean := enabled && s.Cfg.L2LineSize <= s.Cfg.PageBytes
 	for _, pr := range s.procs {
-		pr.leanRun = lean
+		pr.leanRun = enabled
 	}
 }
 
@@ -74,34 +73,30 @@ func (s *System) MemRunEnabled() bool {
 // charging pre[i] extra cycles immediately before word i (pre may be
 // nil). It is bit-identical to the equivalent Access loop.
 func (s *System) AccessRun(p int, addr, stride int64, count int, write bool, pre []int64) {
-	if count <= 0 {
-		return
-	}
-	pr := s.procs[p]
-	if pr.sc != nil {
-		s.scoutRunWalk(p, pr, addr, stride, count, write, pre)
-		return
-	}
-	s.runWalk(p, pr, addr, stride, count, write, pre)
+	s.runWalk(p, s.procs[p], addr, stride, count, write, pre)
 }
 
 // LoadRun simulates count loads and gathers the loaded words into out
 // (which must hold at least count words). Bit-identical to the
 // equivalent LoadWord loop.
 func (s *System) LoadRun(p int, addr, stride int64, count int, pre []int64, out []uint64) {
-	if count <= 0 {
-		return
-	}
 	pr := s.procs[p]
-	if pr.sc != nil {
-		s.scoutLoadRun(p, pr, addr, stride, count, pre, out)
-		return
-	}
-	s.runWalk(p, pr, addr, stride, count, false, pre)
+	n := s.runWalk(p, pr, addr, stride, count, false, pre)
 	// The walk never touches the backing store, so gathering after it is
 	// the same data the interleaved loop would have read.
 	a := addr
-	for i := 0; i < count; i++ {
+	if sc := pr.sc; sc != nil {
+		for i := 0; i < n; i++ {
+			out[i] = sc.loadMem(s, a)
+			a += stride
+		}
+		// Words at and after an abort read as zero, as in the word loop.
+		for i := n; i < count; i++ {
+			out[i] = 0
+		}
+		return
+	}
+	for i := 0; i < n; i++ {
 		out[i] = s.mem[a>>3]
 		a += stride
 	}
@@ -111,17 +106,18 @@ func (s *System) LoadRun(p int, addr, stride int64, count int, pre []int64, out 
 // to the equivalent StoreWord loop (on overlapping addresses the last
 // store wins, as in the loop).
 func (s *System) StoreRun(p int, addr, stride int64, count int, pre []int64, vals []uint64) {
-	if count <= 0 {
-		return
-	}
 	pr := s.procs[p]
-	if pr.sc != nil {
-		s.scoutStoreRun(p, pr, addr, stride, count, pre, vals)
+	n := s.runWalk(p, pr, addr, stride, count, true, pre)
+	a := addr
+	if sc := pr.sc; sc != nil {
+		// The aborting word and everything after it store nothing.
+		for i := 0; i < n; i++ {
+			sc.mem.store(a>>3, vals[i])
+			a += stride
+		}
 		return
 	}
-	s.runWalk(p, pr, addr, stride, count, true, pre)
-	a := addr
-	for i := 0; i < count; i++ {
+	for i := 0; i < n; i++ {
 		s.mem[a>>3] = vals[i]
 		a += stride
 	}
@@ -161,46 +157,34 @@ func groupEnd(pr *proc, a, stride int64, i, count int, l1line int64) int {
 }
 
 // runWalk performs the simulation-state part of a run (no data movement)
-// on the serial path.
-func (s *System) runWalk(p int, pr *proc, addr, stride int64, count int, write bool, pre []int64) {
-	if !pr.leanRun || stride < 0 || count < 2 {
+// and returns the number of words completed: count, except that a scout
+// that aborts on word k (or was aborted already) stops there and returns k
+// — the remaining words would all be no-ops. Scouts always take the word
+// loop, which keeps the scout context out of the lean loop below.
+func (s *System) runWalk(p int, pr *proc, addr, stride int64, count int, write bool, pre []int64) int {
+	if sc := pr.sc; sc != nil || !pr.leanRun || stride < 0 || count < 2 {
 		a := addr
 		for i := 0; i < count; i++ {
 			if pre != nil {
 				pr.clock += pre[i]
 			}
 			s.accessWord(p, pr, a, write)
+			if sc != nil && sc.aborted {
+				return i
+			}
 			a += stride
 		}
-		return
+		return max(count, 0)
 	}
-	pendMiss := 0
 	i := 0
 	for i < count {
 		a := addr + int64(i)*stride
 		if pre != nil {
 			pr.clock += pre[i]
 		}
+		// Group head: one word-loop step, which leaves the line resident.
+		s.accessWord(p, pr, a, write)
 		l1line := a >> pr.l1.shift
-		// Group head: L0 memo guard, then the lean L2-hit fill, then the
-		// full walk.
-		if m := l1line & l0Mask; pr.l1.tags[pr.l0Slot[m]] == l1line &&
-			(!write || pr.l1.excl[pr.l0Slot[m]]) {
-			if write {
-				pr.stats.Stores++
-			} else {
-				pr.stats.Loads++
-			}
-			pr.l1.lru[l1line&pr.l1.mask] = pr.l0Way[m]
-			pr.clock += pr.l1Hit
-		} else if !s.leanFill(p, pr, a, l1line, write, &pendMiss) {
-			// Full walk can emit its own recorder events; keep aggregate
-			// event order by flushing the batched L1 misses first.
-			if pendMiss > 0 {
-				s.flushL1Miss(p, &pendMiss)
-			}
-			s.Access(p, a, write)
-		}
 		last := groupEnd(pr, a, stride, i, count, l1line)
 		if last > i {
 			// Bulk L1 hits: one lookup stands in for the per-word LRU
@@ -234,59 +218,5 @@ func (s *System) runWalk(p int, pr *proc, addr, stride int64, count int, write b
 		}
 		i = last + 1
 	}
-	if pendMiss > 0 {
-		s.flushL1Miss(p, &pendMiss)
-	}
-}
-
-// leanFill is the Access walk specialized to an L1 miss that hits both
-// the TLB and the L2 with no directory work needed (a read, or a write to
-// an already-exclusive line) — the common shape for a run marching
-// through a resident L2 line.
-// Every probe is side-effect-free until the shape is confirmed, then the
-// state transition replicates Access exactly: stats, the L2 LRU touch,
-// the L1 fill + memo, the L2HitCyc charge. The per-word rec.L1Miss
-// events are batched into *pendMiss (the only recorder event this shape
-// emits). Returns false — having changed nothing but an idempotent LRU
-// touch — when the shape does not apply, and the caller takes the full
-// walk.
-func (s *System) leanFill(p int, pr *proc, addr, l1line int64, write bool, pendMiss *int) bool {
-	if pr.l1.lookup(l1line) >= 0 {
-		return false // L1 hit (memo missed it): Access's hit path applies
-	}
-	t := pr.tlb
-	vpage := s.Pages.VPage(addr)
-	if vpage != t.last && (vpage >= int64(len(t.slot)) || t.slot[vpage] == 0) {
-		return false // TLB miss: full walk charges and refills
-	}
-	slot := pr.l2.lookup(addr >> s.l2Shift)
-	if slot < 0 || (write && !pr.l2.excl[slot]) {
-		return false // L2 miss or upgrade: directory work, full walk
-	}
-	if write {
-		pr.stats.Stores++
-	} else {
-		pr.stats.Loads++
-	}
-	pr.stats.L1Miss++
-	*pendMiss++
-	t.last = vpage
-	_, s1, _ := pr.l1.insert(l1line)
-	pr.l1.excl[s1] = pr.l2.excl[slot]
-	if !pr.noMemo {
-		i := l1line & l0Mask
-		pr.l0Slot[i] = int32(s1)
-		pr.l0Way[i] = int8(s1 - int(l1line&pr.l1.mask)*pr.l1.assoc)
-	}
-	lat := int64(s.Cfg.L2HitCyc)
-	pr.clock += lat
-	pr.stats.MemCyc += lat
-	return true
-}
-
-func (s *System) flushL1Miss(p int, pend *int) {
-	if s.rec != nil {
-		s.rec.L1Miss(p, *pend)
-	}
-	*pend = 0
+	return count
 }

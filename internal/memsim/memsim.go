@@ -188,14 +188,15 @@ func (c *cache) insert(line int64) (victim int64, slot int, victimExcl bool) {
 	return victim, base + w, victimExcl
 }
 
-// invalidate removes the line if present, reporting whether it was there.
-func (c *cache) invalidate(line int64) bool {
-	if s := c.lookup(line); s >= 0 {
-		c.tags[s] = -1
-		c.excl[s] = false
-		return true
+// invalidate removes the line if present, returning the slot it held (or
+// -1) and whether it was held exclusive.
+func (c *cache) invalidate(line int64) (slot int, excl bool) {
+	if slot = c.lookup(line); slot >= 0 {
+		excl = c.excl[slot]
+		c.tags[slot] = -1
+		c.excl[slot] = false
 	}
-	return false
+	return slot, excl
 }
 
 // tlb models a FIFO-replacement TLB. Membership lives in slot, a flat
@@ -226,8 +227,10 @@ func newTLB(n int) *tlb {
 }
 
 // access returns true on hit, inserting on miss (FIFO replacement). Virtual
-// page 0 is never mapped (null guard), so a zero fifo slot means empty.
-func (t *tlb) access(vpage int64) bool {
+// page 0 is never mapped (null guard), so a zero fifo slot means empty. A
+// scout (sc non-nil) journals the refill; growth of the membership table
+// needs no undo, since new cells are zero and zero means absent.
+func (t *tlb) access(vpage int64, sc *scoutCtx) bool {
 	if vpage == t.last && !t.noMemo {
 		return true
 	}
@@ -235,7 +238,9 @@ func (t *tlb) access(vpage int64) bool {
 		t.last = vpage
 		return true
 	}
-	if old := t.fifo[t.pos]; old != 0 {
+	old := t.fifo[t.pos]
+	sc.jTLB(t.pos, old)
+	if old != 0 {
 		t.slot[old] = 0 // resident pages are always inside the table
 		if old == t.last {
 			t.last = 0
@@ -382,28 +387,40 @@ type nodeBW struct {
 }
 
 // reserve books one cache-line service on the node at time t, returning the
-// queuing delay.
-func (s *System) reserve(node int, t int64) int64 {
+// queuing delay. A scout (sc non-nil) leaves the shared ring untouched: it
+// books into its own ledger and counts that ledger on top of the frozen ring.
+// A stale ring slot (epoch mismatch) reads as empty either way.
+func (s *System) reserve(sc *scoutCtx, node int, t int64) int64 {
 	if s.bwCap <= 0 {
 		return 0
 	}
 	b := &s.bw[node]
 	w := t / s.bwWindow
 	for k := 0; k < bwRing; k++ {
-		idx := (w + int64(k)) % bwRing
-		if b.epoch[idx] != w+int64(k) {
-			b.epoch[idx] = w + int64(k)
-			b.used[idx] = 0
+		wk := w + int64(k)
+		idx := wk % bwRing
+		var used int32
+		if b.epoch[idx] == wk {
+			used = b.used[idx]
 		}
-		if b.used[idx] < s.bwCap {
-			b.used[idx]++
+		if sc != nil {
+			used += sc.bwBook[bwKey(node, wk)]
+		}
+		if used < s.bwCap {
+			if sc != nil {
+				sc.bwBook[bwKey(node, wk)]++
+			} else {
+				b.epoch[idx], b.used[idx] = wk, used+1
+			}
+			sc.noteBW(node, k > 0)
 			if k == 0 {
 				return 0
 			}
-			return (w+int64(k))*s.bwWindow - t
+			return wk*s.bwWindow - t
 		}
 	}
 	// Saturated far beyond the ring: charge a full ring of delay.
+	sc.noteBW(node, true)
 	return int64(bwRing) * s.bwWindow
 }
 
@@ -434,10 +451,8 @@ func New(cfg *machine.Config, pm *ospage.Manager) (*System, error) {
 	if s.l1Per2 < 1 {
 		s.l1Per2 = 1
 	}
-	// The lean run path assumes an L2 line never crosses a page (true of
-	// every real Origin-like config); fall back to word walks otherwise.
-	// DSM_MEMRUN=off|0|false disables it from the environment.
-	leanRun := cfg.L2LineSize <= cfg.PageBytes && memRunEnv()
+	// DSM_MEMRUN=off|0|false disables run batching from the environment.
+	leanRun := memRunEnv()
 	s.procs = make([]*proc, cfg.NProcs)
 	for p := range s.procs {
 		s.procs[p] = &proc{
@@ -552,12 +567,17 @@ func (s *System) Barrier(procs []int) {
 }
 
 // invalidateOthers removes the L2 line (and contained L1 lines) from every
-// sharer except keep, charging coherence latency to the requester.
-func (s *System) invalidateOthers(req int, d *dirEntry, line int64, keep int) int64 {
-	var extra int64
+// sharer except req, charging coherence latency to the requester. A scout
+// cannot express writes to other processors' caches as an overlay, so it
+// aborts instead (ok false).
+func (s *System) invalidateOthers(sc *scoutCtx, req int, d *dirEntry, line int64) (extra int64, ok bool) {
+	if sc != nil {
+		sc.abort(AbortInvalidation)
+		return 0, false
+	}
 	n := 0
 	for p := 0; p < len(s.procs); p++ {
-		if p == keep || !d.has(p) {
+		if p == req || !d.has(p) {
 			continue
 		}
 		pr := s.procs[p]
@@ -578,38 +598,60 @@ func (s *System) invalidateOthers(req int, d *dirEntry, line int64, keep int) in
 			s.rec.Invalidations(n)
 		}
 	}
-	if d.owner >= 0 && int(d.owner) != keep {
+	if d.owner >= 0 && int(d.owner) != req {
 		d.owner = -1
 	}
-	return extra
+	return extra, true
 }
 
 // evictL2 handles replacement of an L2 line from processor p's cache:
 // directory bookkeeping, inclusion invalidation of the L1 sublines, and a
 // writeback count when the line was exclusive.
-func (s *System) evictL2(p int, victim int64, wasExcl bool) {
+func (s *System) evictL2(sc *scoutCtx, p int, victim int64, wasExcl bool) {
 	pr := s.procs[p]
-	d := &s.dir[victim]
+	var dbuf dirEntry
+	d := sc.openDir(s, victim, &dbuf)
 	d.clear(p)
 	if d.owner == int32(p) {
 		d.owner = -1
 	}
+	sc.closeDir(victim, d)
 	base := victim * int64(s.l1Per2)
-	for k := 0; k < s.l1Per2; k++ {
-		pr.l1.invalidate(base + int64(k))
+	for k := int64(0); k < int64(s.l1Per2); k++ {
+		if slot, excl := pr.l1.invalidate(base + k); slot >= 0 {
+			sc.jCachePost(pr.l1, slot, base+k, excl)
+		}
 	}
 	if wasExcl {
 		pr.stats.Writebacks++
 	}
 }
 
+// remember points the L0 memo entry for l1line at its (resident) L1 slot.
+func (pr *proc) remember(l1line int64, slot int) {
+	if !pr.noMemo {
+		i := l1line & l0Mask
+		pr.l0Slot[i] = int32(slot)
+		pr.l0Way[i] = int8(slot - int(l1line&pr.l1.mask)*pr.l1.assoc)
+	}
+}
+
 // Access simulates one 8-byte load or store by processor p at virtual
 // address addr, advancing p's clock by the modeled latency. It does not
 // touch the backing store; LoadWord/StoreWord wrap it with data movement.
+//
+// This is the only copy of the cost walk. When p is a scout (pr.sc non-nil;
+// see scout.go) the same walk runs with shared state read-only: each sc.*
+// call below is a no-op on a nil scout, and otherwise journals a private
+// cell before it is overwritten or routes a shared write to the scout's
+// overlay. At the three steps with no overlay form — first touch of an
+// unmapped page, cache-to-cache intervention, invalidating other sharers
+// (invalidateOthers) — a scout aborts and returns; once aborted, its
+// accesses do nothing.
 func (s *System) Access(p int, addr int64, write bool) {
 	pr := s.procs[p]
-	if pr.sc != nil {
-		s.scoutAccess(p, pr, addr, write)
+	sc := pr.sc
+	if sc != nil && sc.aborted {
 		return
 	}
 	cfg := s.Cfg
@@ -620,28 +662,28 @@ func (s *System) Access(p int, addr int64, write bool) {
 		pr.stats.Loads++
 	}
 	if slot := pr.l1.lookup(l1line); slot >= 0 {
-		if !pr.noMemo {
-			i := l1line & l0Mask
-			pr.l0Slot[i] = int32(slot)
-			pr.l0Way[i] = int8(slot - int(l1line&pr.l1.mask)*pr.l1.assoc)
-		}
+		pr.remember(l1line, slot)
 		pr.clock += int64(cfg.L1HitCyc)
-		if !write {
-			return
-		}
-		if pr.l1.excl[slot] {
+		if !write || pr.l1.excl[slot] {
 			return
 		}
 		// Write to a shared line: upgrade through the directory.
 		l2line := addr >> s.l2Shift
-		d := &s.dir[l2line]
+		var dbuf dirEntry
+		d := sc.openDir(s, l2line, &dbuf)
 		var lat int64
 		if d.othersThan(p) {
-			lat = s.invalidateOthers(p, d, l2line, p)
+			var ok bool
+			if lat, ok = s.invalidateOthers(sc, p, d, l2line); !ok {
+				return
+			}
 		}
 		d.owner = int32(p)
+		sc.closeDir(l2line, d)
+		sc.jCache(pr.l1, slot)
 		pr.l1.excl[slot] = true
 		if l2s := pr.l2.lookup(l2line); l2s >= 0 {
+			sc.jCache(pr.l2, l2s)
 			pr.l2.excl[l2s] = true
 		}
 		pr.clock += lat
@@ -650,93 +692,134 @@ func (s *System) Access(p int, addr int64, write bool) {
 	}
 
 	pr.stats.L1Miss++
-	if s.rec != nil {
-		s.rec.L1Miss(p, 1)
+	// Observability events go to the recorder, or under speculation to the
+	// scout's buffer (the executor replays it in schedule order at commit);
+	// either may be absent.
+	if sc == nil {
+		if s.rec != nil {
+			s.rec.L1Miss(p, 1)
+		}
+	} else if sc.buf != nil {
+		sc.buf.L1Miss(1)
 	}
 	lat := int64(cfg.L2HitCyc)
 
 	// Address translation happens on the refill path.
-	vpage := s.Pages.VPage(addr)
-	if !pr.tlb.access(vpage) {
+	if !pr.tlb.access(s.Pages.VPage(addr), sc) {
 		pr.stats.TLBMiss++
 		lat += int64(cfg.TLBMissCyc)
 		pr.stats.TLBCyc += int64(cfg.TLBMissCyc)
-		if s.rec != nil {
-			s.rec.TLBMiss(p, pr.node, addr, int64(cfg.TLBMissCyc), pr.clock, 1)
+		if sc == nil {
+			if s.rec != nil {
+				s.rec.TLBMiss(p, pr.node, addr, int64(cfg.TLBMissCyc), pr.clock, 1)
+			}
+		} else if sc.buf != nil {
+			sc.buf.TLBMiss(pr.node, addr, int64(cfg.TLBMissCyc), pr.clock, 1)
 		}
 	}
 
+	// The directory entry is needed (and, under scout, copied) only when
+	// the line must be fetched or made exclusive.
 	l2line := addr >> s.l2Shift
-	d := &s.dir[l2line]
 	slot := pr.l2.lookup(l2line)
+	var dbuf dirEntry
+	var d *dirEntry
+	if slot < 0 || (write && !pr.l2.excl[slot]) {
+		d = sc.openDir(s, l2line, &dbuf)
+	}
 	if slot < 0 {
 		// L2 miss: fetch from home memory or intervening cache.
 		pr.stats.L2Miss++
 		if vp := addr >> s.Pages.PageShift(); vp < int64(len(s.pageMiss)) {
-			s.pageMiss[vp]++
+			if sc != nil {
+				sc.pmiss = append(sc.pmiss, vp)
+			} else {
+				s.pageMiss[vp]++
+			}
 		}
-		home := s.Pages.Touch(addr, pr.node)
+		var home int
+		if sc == nil {
+			home = s.Pages.Touch(addr, pr.node)
+		} else if pg, ok := s.Pages.Lookup(addr); ok {
+			home = pg.Node
+		} else {
+			// First touch would allocate the page — a shared-state write.
+			sc.abort(AbortPageFault)
+			return
+		}
 		if d.owner >= 0 && int(d.owner) != p {
 			// Dirty in another cache: cache-to-cache intervention.
+			if sc != nil {
+				sc.abort(AbortIntervention)
+				return
+			}
 			pr.stats.Interventions++
+			fetch := int64(cfg.RemoteLatency(pr.node, s.procs[d.owner].node) + cfg.CoherenceCyc)
 			if s.rec != nil {
 				s.rec.Intervention()
-				s.rec.L2Miss(p, pr.node, home, addr,
-					int64(cfg.RemoteLatency(pr.node, s.procs[d.owner].node)+cfg.CoherenceCyc), pr.clock, 1)
+				s.rec.L2Miss(p, pr.node, home, addr, fetch, pr.clock, 1)
 			}
-			lat += int64(cfg.RemoteLatency(pr.node, s.procs[d.owner].node) + cfg.CoherenceCyc)
+			lat += fetch
 			d.owner = -1
-			if home == pr.node {
-				pr.stats.L2MissLocal++
-			} else {
-				pr.stats.L2MissRemote++
-			}
 		} else {
 			base := int64(cfg.RemoteLatency(pr.node, home))
 			// Node memory bandwidth: queue behind other requests in
 			// the same time window.
-			if wait := s.reserve(home, pr.clock); wait > 0 {
+			if wait := s.reserve(sc, home, pr.clock); wait > 0 {
 				lat += wait
 				pr.stats.WaitCyc += wait
-				if s.rec != nil {
-					s.rec.BWWait(p, home, wait, 1)
+				if sc == nil {
+					if s.rec != nil {
+						s.rec.BWWait(p, home, wait, 1)
+					}
+				} else if sc.buf != nil {
+					sc.buf.BWWait(home, wait, 1)
 				}
 			}
 			lat += base
-			if s.rec != nil {
-				s.rec.L2Miss(p, pr.node, home, addr, base, pr.clock, 1)
-			}
-			if home == pr.node {
-				pr.stats.L2MissLocal++
-			} else {
-				pr.stats.L2MissRemote++
+			if sc == nil {
+				if s.rec != nil {
+					s.rec.L2Miss(p, pr.node, home, addr, base, pr.clock, 1)
+				}
+			} else if sc.buf != nil {
+				sc.buf.L2Miss(pr.node, home, addr, base, pr.clock, 1)
 			}
 		}
+		if home == pr.node {
+			pr.stats.L2MissLocal++
+		} else {
+			pr.stats.L2MissRemote++
+		}
 		victim, vs, vexcl := pr.l2.insert(l2line)
+		sc.jCachePost(pr.l2, vs, victim, vexcl)
 		if victim >= 0 {
-			s.evictL2(p, victim, vexcl)
+			s.evictL2(sc, p, victim, vexcl)
 		}
 		slot = vs
 		d.set(p)
+		sc.closeDir(l2line, d)
 	}
 
 	if write && !pr.l2.excl[slot] {
 		if d.othersThan(p) {
-			lat += s.invalidateOthers(p, d, l2line, p)
+			inv, ok := s.invalidateOthers(sc, p, d, l2line)
+			if !ok {
+				return
+			}
+			lat += inv
 		}
 		d.owner = int32(p)
+		sc.closeDir(l2line, d)
+		sc.jCache(pr.l2, slot)
 		pr.l2.excl[slot] = true
 	}
 
 	// Fill L1 (inclusion holds: L2 line present). L1 victims need no
 	// directory work; L2 still holds them.
-	_, s1, _ := pr.l1.insert(l1line)
+	v1, s1, v1excl := pr.l1.insert(l1line)
+	sc.jCachePost(pr.l1, s1, v1, v1excl)
 	pr.l1.excl[s1] = pr.l2.excl[slot]
-	if !pr.noMemo {
-		i := l1line & l0Mask
-		pr.l0Slot[i] = int32(s1)
-		pr.l0Way[i] = int8(s1 - int(l1line&pr.l1.mask)*pr.l1.assoc)
-	}
+	pr.remember(l1line, s1)
 
 	pr.clock += lat
 	pr.stats.MemCyc += lat
@@ -765,8 +848,13 @@ func (s *System) LoadWord(p int, addr int64) uint64 {
 }
 
 func (s *System) loadWordSlow(p int, pr *proc, addr int64) uint64 {
-	if pr.sc != nil {
-		return s.scoutLoadWord(p, pr, addr)
+	if sc := pr.sc; sc != nil {
+		// A scout reads through its store overlay; an aborted one reads 0.
+		s.accessWord(p, pr, addr, false)
+		if sc.aborted {
+			return 0
+		}
+		return sc.loadMem(s, addr)
 	}
 	// Issue the host-side data load before the simulation walk: Access
 	// never reads or writes the backing store, and the walk's own work
@@ -795,8 +883,12 @@ func (s *System) StoreWord(p int, addr int64, v uint64) {
 }
 
 func (s *System) storeWordSlow(p int, pr *proc, addr int64, v uint64) {
-	if pr.sc != nil {
-		s.scoutStoreWord(p, pr, addr, v)
+	if sc := pr.sc; sc != nil {
+		// A scout's store lands in its overlay; an aborted one stores nothing.
+		s.accessWord(p, pr, addr, true)
+		if !sc.aborted {
+			sc.mem.store(addr>>3, v)
+		}
 		return
 	}
 	// As in LoadWord, touch the backing store before the walk so the host
@@ -879,9 +971,10 @@ func (s *System) BulkTransfer(p, srcNode, dstNode int, bytes int64) int64 {
 	}
 	var waited int64
 	for i := int64(0); i < lines; i++ {
-		wait := s.reserve(srcNode, t)
+		// Never a scout: the executor gates runtime calls out of epochs.
+		wait := s.reserve(nil, srcNode, t)
 		if dstNode != srcNode {
-			if w := s.reserve(dstNode, t+wait); w > 0 {
+			if w := s.reserve(nil, dstNode, t+wait); w > 0 {
 				wait += w
 			}
 		}

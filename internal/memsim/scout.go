@@ -22,6 +22,12 @@ package memsim
 // operations become no-ops; the executor notices, restores, and falls
 // back.
 //
+// There is no scout copy of the cost walk. System.Access and the steps
+// under it (tlb.access, reserve, evictL2, invalidateOthers) take the
+// processor's *scoutCtx and, at the points where a scout differs, call the
+// small methods below; every one of them is a no-op on a nil context, which
+// is the serial engine.
+//
 // See DESIGN.md "Concurrency model" for the full protocol and the
 // determinism argument.
 
@@ -66,14 +72,12 @@ type cacheJEntry struct {
 	excl bool
 }
 
-type tlbSlotJEntry struct {
-	vpage int64
-	val   uint16
-}
-
-type tlbFifoJEntry struct {
-	idx int
-	val int64
+// tlbJEntry records one TLB refill: fifo[pos] held old (0 = empty) before
+// the new page went in. That is the whole undo, because the membership
+// table is a function of the fifo: slot[v] == i+1 exactly when fifo[i] == v.
+type tlbJEntry struct {
+	pos int
+	old int64
 }
 
 // memOverlay holds a scout's speculative stores: an open-addressed,
@@ -176,8 +180,7 @@ type scoutCtx struct {
 	tlbPos    int
 	tlbLast   int64
 	cacheJ    []cacheJEntry
-	tlbSlotJ  []tlbSlotJEntry
-	tlbFifoJ  []tlbFifoJEntry
+	tlbJ      []tlbJEntry
 }
 
 func (sc *scoutCtx) abort(r AbortReason) {
@@ -187,105 +190,80 @@ func (sc *scoutCtx) abort(r AbortReason) {
 	}
 }
 
+// jCache journals a cache slot about to be overwritten.
 func (sc *scoutCtx) jCache(c *cache, slot int) {
-	sc.cacheJ = append(sc.cacheJ, cacheJEntry{c: c, slot: int32(slot), tag: c.tags[slot], excl: c.excl[slot]})
+	if sc != nil {
+		sc.cacheJ = append(sc.cacheJ, cacheJEntry{c: c, slot: int32(slot), tag: c.tags[slot], excl: c.excl[slot]})
+	}
 }
 
-// jCachePost journals an insert() that already happened: the previous
-// occupant of slot was (tag=victim or -1, excl=victimExcl); invalid ways
-// always carry excl=false, so the pair restores exactly.
+// jCachePost journals an insert() or invalidate() that already happened:
+// the previous occupant of slot was (tag=victim or -1, excl=victimExcl);
+// invalid ways always carry excl=false, so the pair restores exactly.
 func (sc *scoutCtx) jCachePost(c *cache, slot int, victim int64, victimExcl bool) {
-	sc.cacheJ = append(sc.cacheJ, cacheJEntry{c: c, slot: int32(slot), tag: victim, excl: victimExcl})
-}
-
-// invalidate mirrors cache.invalidate with journaling.
-func (sc *scoutCtx) invalidate(c *cache, line int64) {
-	if s := c.lookup(line); s >= 0 {
-		sc.jCache(c, s)
-		c.tags[s] = -1
-		c.excl[s] = false
+	if sc != nil {
+		sc.cacheJ = append(sc.cacheJ, cacheJEntry{c: c, slot: int32(slot), tag: victim, excl: victimExcl})
 	}
 }
 
-// dirRead returns the scout's view of a directory entry without recording
-// a touch: the overlay if present, else the shared (frozen) entry.
-func (sc *scoutCtx) dirRead(s *System, line int64) dirEntry {
-	if d, ok := sc.dirOv[line]; ok {
-		return d
+// jTLB journals a TLB refill about to replace fifo[pos], which holds old.
+func (sc *scoutCtx) jTLB(pos int, old int64) {
+	if sc != nil {
+		sc.tlbJ = append(sc.tlbJ, tlbJEntry{pos: pos, old: old})
 	}
-	return s.dir[line]
 }
 
-func (sc *scoutCtx) dirWrite(line int64, d dirEntry) {
-	sc.dirOv[line] = d
+// openDir returns the directory entry of line for reading and updating: the
+// shared entry itself on the serial path; under scout a copy in *buf, taken
+// from the overlay if the scout already wrote the line, else from the shared
+// (frozen) directory. Opening records no touch.
+func (sc *scoutCtx) openDir(s *System, line int64, buf *dirEntry) *dirEntry {
+	if sc == nil {
+		return &s.dir[line]
+	}
+	d, ok := sc.dirOv[line]
+	if !ok {
+		d = s.dir[line]
+	}
+	*buf = d
+	return buf
+}
+
+// closeDir publishes an updated entry: the serial path already wrote it in
+// place; a scout stores the copy in its overlay, whose key set is the
+// touched-line set ValidateScouts claims. Every scout step that changes an
+// opened entry closes it or aborts.
+func (sc *scoutCtx) closeDir(line int64, d *dirEntry) {
+	if sc != nil {
+		sc.dirOv[line] = *d
+	}
 }
 
 func bwKey(node int, w int64) int64 { return int64(node)<<44 | w }
 
-// reserve mirrors System.reserve against the frozen shared ring plus this
-// scout's own bookings. Stale ring slots (epoch mismatch) read as empty,
-// exactly as the serial path would reset them before booking.
-func (sc *scoutCtx) reserve(s *System, node int, t int64) int64 {
-	if s.bwCap <= 0 {
-		return 0
-	}
-	b := &s.bw[node]
-	w := t / s.bwWindow
-	sc.bwHit[node] = true
-	for k := 0; k < bwRing; k++ {
-		wk := w + int64(k)
-		idx := wk % bwRing
-		var used int32
-		if b.epoch[idx] == wk {
-			used = b.used[idx]
-		}
-		key := bwKey(node, wk)
-		used += sc.bwBook[key]
-		if used < s.bwCap {
-			sc.bwBook[key]++
-			if k == 0 {
-				return 0
-			}
+// noteBW records that the scout asked node for service, and whether the
+// request had to wait (ValidateScouts needs both).
+func (sc *scoutCtx) noteBW(node int, waited bool) {
+	if sc != nil {
+		sc.bwHit[node] = true
+		if waited {
 			sc.bwWait[node] = true
-			return wk*s.bwWindow - t
 		}
 	}
-	sc.bwWait[node] = true
-	return int64(bwRing) * s.bwWindow
 }
 
-// tlbAccess mirrors tlb.access with journaling. Growth of the membership
-// table needs no undo: new cells are zero, and zero means absent.
-func (sc *scoutCtx) tlbAccess(t *tlb, vpage int64) bool {
-	if vpage == t.last && !t.noMemo {
-		return true
-	}
-	if vpage < int64(len(t.slot)) && t.slot[vpage] != 0 {
-		t.last = vpage
-		return true
-	}
-	if old := t.fifo[t.pos]; old != 0 {
-		sc.tlbSlotJ = append(sc.tlbSlotJ, tlbSlotJEntry{vpage: old, val: t.slot[old]})
-		t.slot[old] = 0
-		if old == t.last {
-			t.last = 0
+// loadMem reads a word as the scout sees it: its own speculative store if
+// any, else the frozen backing store. (No other scout can have written a
+// word this one is permitted to read: writing requires exclusivity, and a
+// foreign reader would abort on the owner check or trip directory-claim
+// validation.)
+func (sc *scoutCtx) loadMem(s *System, addr int64) uint64 {
+	if sc.mem.n > 0 {
+		if v, ok := sc.mem.load(addr >> 3); ok {
+			return v
 		}
 	}
-	if vpage >= int64(len(t.slot)) {
-		grown := make([]uint16, vpage+vpage/4+1)
-		copy(grown, t.slot)
-		t.slot = grown
-	}
-	sc.tlbFifoJ = append(sc.tlbFifoJ, tlbFifoJEntry{idx: t.pos, val: t.fifo[t.pos]})
-	sc.tlbSlotJ = append(sc.tlbSlotJ, tlbSlotJEntry{vpage: vpage, val: t.slot[vpage]})
-	t.fifo[t.pos] = vpage
-	t.slot[vpage] = uint16(t.pos) + 1
-	t.last = vpage
-	t.pos++
-	if t.pos == len(t.fifo) {
-		t.pos = 0
-	}
-	return false
+	return s.mem[addr>>3]
 }
 
 // ArmScout puts processor p into scout mode for one epoch. buf, when
@@ -315,8 +293,7 @@ func (s *System) ArmScout(p int, buf *obs.ProcBuffer) {
 		sc.mem.reset()
 		sc.pmiss = sc.pmiss[:0]
 		sc.cacheJ = sc.cacheJ[:0]
-		sc.tlbSlotJ = sc.tlbSlotJ[:0]
-		sc.tlbFifoJ = sc.tlbFifoJ[:0]
+		sc.tlbJ = sc.tlbJ[:0]
 		sc.aborted = false
 		sc.reason = abortNone
 	}
@@ -380,20 +357,18 @@ func (s *System) AbortScout(p int) {
 		j.c.tags[j.slot] = j.tag
 		j.c.excl[j.slot] = j.excl
 	}
-	for i := len(sc.tlbFifoJ) - 1; i >= 0; i-- {
-		pr.tlb.fifo[sc.tlbFifoJ[i].idx] = sc.tlbFifoJ[i].val
-	}
-	for i := len(sc.tlbSlotJ) - 1; i >= 0; i-- {
-		pr.tlb.slot[sc.tlbSlotJ[i].vpage] = sc.tlbSlotJ[i].val
+	for i := len(sc.tlbJ) - 1; i >= 0; i-- {
+		t, j := pr.tlb, sc.tlbJ[i]
+		t.slot[t.fifo[j.pos]] = 0
+		t.fifo[j.pos] = j.old
+		if j.old != 0 {
+			t.slot[j.old] = uint16(j.pos) + 1
+		}
 	}
 	pr.tlb.pos, pr.tlb.last = sc.tlbPos, sc.tlbLast
 	pr.sc = nil
 }
 
-// scoutClaims stamps each directory line a scout touched into the claim
-// table; a line already stamped by another scout this epoch is a conflict.
-// The touched-line set is exactly the overlay key set: every scout path
-// that reads a directory entry either writes it back or aborts.
 func (s *System) beginValidateEpoch() {
 	s.scoutEpoch++
 	if len(s.claim) < len(s.dir) {
@@ -409,7 +384,9 @@ func (s *System) ValidateScouts(procs []int) bool {
 	s.beginValidateEpoch()
 	stampBase := s.scoutEpoch << 8
 
-	// Directory lines must be touched by at most one scout.
+	// Directory lines must be touched by at most one scout: each line in a
+	// scout's overlay is stamped into the claim table, and a line already
+	// stamped by another scout this epoch is a conflict.
 	for _, p := range procs {
 		sc := s.procs[p].sc
 		for line := range sc.dirOv {
@@ -500,305 +477,4 @@ func (s *System) CommitScout(p int) {
 		s.pageMiss[vp]++
 	}
 	pr.sc = nil
-}
-
-// scoutAccess mirrors Access under scout rules. Structure and cost
-// arithmetic must stay in lockstep with Access — bit-identity of the
-// parallel engine depends on it.
-func (s *System) scoutAccess(p int, pr *proc, addr int64, write bool) {
-	sc := pr.sc
-	if sc.aborted {
-		return
-	}
-	cfg := s.Cfg
-	l1line := addr >> pr.l1.shift
-	if write {
-		pr.stats.Stores++
-	} else {
-		pr.stats.Loads++
-	}
-	if slot := pr.l1.lookup(l1line); slot >= 0 {
-		if !pr.noMemo {
-			i := l1line & l0Mask
-			pr.l0Slot[i] = int32(slot)
-			pr.l0Way[i] = int8(slot - int(l1line&pr.l1.mask)*pr.l1.assoc)
-		}
-		pr.clock += int64(cfg.L1HitCyc)
-		if !write {
-			return
-		}
-		if pr.l1.excl[slot] {
-			return
-		}
-		l2line := addr >> s.l2Shift
-		d := sc.dirRead(s, l2line)
-		if d.othersThan(p) {
-			sc.abort(AbortInvalidation)
-			return
-		}
-		d.owner = int32(p)
-		sc.dirWrite(l2line, d)
-		sc.jCache(pr.l1, slot)
-		pr.l1.excl[slot] = true
-		if l2s := pr.l2.lookup(l2line); l2s >= 0 {
-			sc.jCache(pr.l2, l2s)
-			pr.l2.excl[l2s] = true
-		}
-		// lat stays 0: with no other sharers invalidateOthers charges
-		// nothing, and MemCyc += 0 is a no-op in the serial path too.
-		return
-	}
-
-	pr.stats.L1Miss++
-	if sc.buf != nil {
-		sc.buf.L1Miss(1)
-	}
-	lat := int64(cfg.L2HitCyc)
-
-	vpage := s.Pages.VPage(addr)
-	if !sc.tlbAccess(pr.tlb, vpage) {
-		pr.stats.TLBMiss++
-		lat += int64(cfg.TLBMissCyc)
-		pr.stats.TLBCyc += int64(cfg.TLBMissCyc)
-		if sc.buf != nil {
-			sc.buf.TLBMiss(pr.node, addr, int64(cfg.TLBMissCyc), pr.clock, 1)
-		}
-	}
-
-	l2line := addr >> s.l2Shift
-	d := sc.dirRead(s, l2line)
-	slot := pr.l2.lookup(l2line)
-	if slot < 0 {
-		pr.stats.L2Miss++
-		if vp := addr >> s.Pages.PageShift(); vp < int64(len(s.pageMiss)) {
-			sc.pmiss = append(sc.pmiss, vp)
-		}
-		pg, ok := s.Pages.Lookup(addr)
-		if !ok {
-			// First touch would allocate the page — a shared-state write.
-			sc.abort(AbortPageFault)
-			return
-		}
-		home := pg.Node
-		if d.owner >= 0 && int(d.owner) != p {
-			sc.abort(AbortIntervention)
-			return
-		}
-		base := int64(cfg.RemoteLatency(pr.node, home))
-		if wait := sc.reserve(s, home, pr.clock); wait > 0 {
-			lat += wait
-			pr.stats.WaitCyc += wait
-			if sc.buf != nil {
-				sc.buf.BWWait(home, wait, 1)
-			}
-		}
-		lat += base
-		if sc.buf != nil {
-			sc.buf.L2Miss(pr.node, home, addr, base, pr.clock, 1)
-		}
-		if home == pr.node {
-			pr.stats.L2MissLocal++
-		} else {
-			pr.stats.L2MissRemote++
-		}
-		victim, vs, vexcl := pr.l2.insert(l2line)
-		sc.jCachePost(pr.l2, vs, victim, vexcl)
-		if victim >= 0 {
-			s.scoutEvictL2(sc, pr, p, victim, vexcl)
-		}
-		slot = vs
-		d.set(p)
-		sc.dirWrite(l2line, d)
-	}
-
-	if write && !pr.l2.excl[slot] {
-		if d.othersThan(p) {
-			sc.abort(AbortInvalidation)
-			return
-		}
-		d.owner = int32(p)
-		sc.dirWrite(l2line, d)
-		sc.jCache(pr.l2, slot)
-		pr.l2.excl[slot] = true
-	}
-
-	v1, s1, v1e := pr.l1.insert(l1line)
-	sc.jCachePost(pr.l1, s1, v1, v1e)
-	pr.l1.excl[s1] = pr.l2.excl[slot]
-	if !pr.noMemo {
-		i := l1line & l0Mask
-		pr.l0Slot[i] = int32(s1)
-		pr.l0Way[i] = int8(s1 - int(l1line&pr.l1.mask)*pr.l1.assoc)
-	}
-
-	pr.clock += lat
-	pr.stats.MemCyc += lat
-}
-
-// scoutEvictL2 mirrors evictL2: directory bookkeeping goes to the overlay,
-// own-L1 subline invalidations are journaled.
-func (s *System) scoutEvictL2(sc *scoutCtx, pr *proc, p int, victim int64, wasExcl bool) {
-	d := sc.dirRead(s, victim)
-	d.clear(p)
-	if d.owner == int32(p) {
-		d.owner = -1
-	}
-	sc.dirWrite(victim, d)
-	base := victim * int64(s.l1Per2)
-	for k := 0; k < s.l1Per2; k++ {
-		sc.invalidate(pr.l1, base+int64(k))
-	}
-	if wasExcl {
-		pr.stats.Writebacks++
-	}
-}
-
-// scoutLoadWord mirrors LoadWord: same fast path, with loads probing the
-// scout's own store overlay before the frozen backing store. (No other
-// scout can have written a word this one is permitted to read: writing
-// requires exclusivity, and a foreign reader would abort on the owner
-// check or trip directory-claim validation.)
-func (s *System) scoutLoadWord(p int, pr *proc, addr int64) uint64 {
-	sc := pr.sc
-	if sc.aborted {
-		return 0
-	}
-	l1line := addr >> pr.l1.shift
-	if m := l1line & l0Mask; pr.l1.tags[pr.l0Slot[m]] == l1line {
-		pr.stats.Loads++
-		pr.l1.lru[l1line&pr.l1.mask] = pr.l0Way[m]
-		pr.clock += pr.l1Hit
-	} else {
-		s.scoutAccess(p, pr, addr, false)
-		if sc.aborted {
-			return 0
-		}
-	}
-	if sc.mem.n > 0 {
-		if v, ok := sc.mem.load(addr >> 3); ok {
-			return v
-		}
-	}
-	return s.mem[addr>>3]
-}
-
-// scoutStoreWord mirrors StoreWord with the store landing in the overlay.
-func (s *System) scoutStoreWord(p int, pr *proc, addr int64, v uint64) {
-	sc := pr.sc
-	if sc.aborted {
-		return
-	}
-	l1line := addr >> pr.l1.shift
-	if m := l1line & l0Mask; pr.l1.tags[pr.l0Slot[m]] == l1line &&
-		pr.l1.excl[pr.l0Slot[m]] {
-		pr.stats.Stores++
-		pr.l1.lru[l1line&pr.l1.mask] = pr.l0Way[m]
-		pr.clock += pr.l1Hit
-	} else {
-		s.scoutAccess(p, pr, addr, true)
-		if sc.aborted {
-			return
-		}
-	}
-	sc.mem.store(addr>>3, v)
-}
-
-// scoutRunWalk mirrors runWalk under speculation. Group heads go through
-// the scout memo guard or the full scoutAccess (which journals cache and
-// directory effects and can abort); bulk L1 hits are charged in batch —
-// their only effects are stats, clock and LRU touches, all of which the
-// epoch snapshot already undoes, so no extra journal entries are needed.
-// Returns the number of words completed: an abort stops the walk at the
-// same word the word-at-a-time loop would have aborted on (the walk's
-// remaining words would all be no-ops there, so stopping is identical).
-func (s *System) scoutRunWalk(p int, pr *proc, addr, stride int64, count int, write bool, pre []int64) int {
-	sc := pr.sc
-	if sc.aborted {
-		return 0
-	}
-	lean := pr.leanRun && stride >= 0 && count >= 2
-	i := 0
-	for i < count {
-		a := addr + int64(i)*stride
-		if pre != nil {
-			pr.clock += pre[i]
-		}
-		l1line := a >> pr.l1.shift
-		if m := l1line & l0Mask; pr.l1.tags[pr.l0Slot[m]] == l1line &&
-			(!write || pr.l1.excl[pr.l0Slot[m]]) {
-			if write {
-				pr.stats.Stores++
-			} else {
-				pr.stats.Loads++
-			}
-			pr.l1.lru[l1line&pr.l1.mask] = pr.l0Way[m]
-			pr.clock += pr.l1Hit
-		} else {
-			s.scoutAccess(p, pr, a, write)
-			if sc.aborted {
-				return i
-			}
-		}
-		if !lean {
-			i++
-			continue
-		}
-		last := groupEnd(pr, a, stride, i, count, l1line)
-		if last > i {
-			slot := pr.l1.lookup(l1line)
-			if slot < 0 || (write && !pr.l1.excl[slot]) {
-				i++ // unreachable after a successful head; word-walk
-				continue
-			}
-			k := int64(last - i)
-			bulk := k * pr.l1Hit
-			if pre != nil {
-				for j := i + 1; j <= last; j++ {
-					bulk += pre[j]
-				}
-			}
-			if write {
-				pr.stats.Stores += k
-			} else {
-				pr.stats.Loads += k
-			}
-			pr.clock += bulk
-		}
-		i = last + 1
-	}
-	return count
-}
-
-// scoutLoadRun mirrors LoadRun with reads probing the epoch's store
-// overlay. Words at and after an abort read as zero, exactly as the
-// aborted word loop would return.
-func (s *System) scoutLoadRun(p int, pr *proc, addr, stride int64, count int, pre []int64, out []uint64) {
-	n := s.scoutRunWalk(p, pr, addr, stride, count, false, pre)
-	sc := pr.sc
-	a := addr
-	for i := 0; i < n; i++ {
-		v := s.mem[a>>3]
-		if sc.mem.n > 0 {
-			if ov, ok := sc.mem.load(a >> 3); ok {
-				v = ov
-			}
-		}
-		out[i] = v
-		a += stride
-	}
-	for i := n; i < count; i++ {
-		out[i] = 0
-	}
-}
-
-// scoutStoreRun mirrors StoreRun with writes landing in the overlay; the
-// aborting word and everything after it store nothing, as in the loop.
-func (s *System) scoutStoreRun(p int, pr *proc, addr, stride int64, count int, pre []int64, vals []uint64) {
-	n := s.scoutRunWalk(p, pr, addr, stride, count, true, pre)
-	sc := pr.sc
-	a := addr
-	for i := 0; i < n; i++ {
-		sc.mem.store(a>>3, vals[i])
-		a += stride
-	}
 }

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"dsmdist/internal/hostpool"
@@ -263,5 +265,29 @@ func TestBatchIdenticalSpecsOneSimulation(t *testing.T) {
 	}
 	if err := srv.Drain(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOversizedBodyRejected: POST /jobs and POST /batch refuse a body over
+// maxRequestBytes with 413 before decoding it, and nothing is admitted.
+func TestOversizedBodyRejected(t *testing.T) {
+	srv := New(Options{
+		runJob: func(j *Job) ([]byte, error) { return []byte(`{"v":1}`), nil },
+	})
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	huge := `{"sources":{"x.f":"` + strings.Repeat("c", maxRequestBytes) + `"}}`
+	for _, path := range []string{"/jobs", "/batch"} {
+		resp, err := http.Post(hs.URL+path, "application/json", strings.NewReader(huge))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with a %d-byte body: status %d, want 413", path, len(huge), resp.StatusCode)
+		}
+	}
+	if st := srv.ServerStats(); st.Jobs != 0 {
+		t.Errorf("an oversized request was admitted: %+v", st)
 	}
 }

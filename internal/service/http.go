@@ -58,14 +58,35 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	}{err.Error()})
 }
 
+// maxRequestBytes bounds the body of POST /jobs and POST /batch. The
+// largest legitimate request is a batch of full-scale sweep points with
+// their sources inlined, well under a megabyte; an unbounded body would be
+// decoded into memory whole.
+const maxRequestBytes = 16 << 20
+
+// decodeBody reads a size-limited JSON request body into v, answering 413
+// (body over maxRequestBytes) or 400 (malformed) itself when it fails.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, status, err)
+	return false
+}
+
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
 	var req JobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	j, attached, err := s.Submit(&req)
@@ -101,8 +122,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req BatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	jobs, attached, err := s.SubmitBatch(&req)

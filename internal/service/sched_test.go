@@ -6,6 +6,7 @@
 package service
 
 import (
+	"strings"
 	"sync"
 	"testing"
 
@@ -112,5 +113,48 @@ func TestSchedulerPoolDrawnDownExternally(t *testing.T) {
 	}
 	if hostpool.InUse() != 3 {
 		t.Fatalf("hostpool in use = %d, want the external grant of 3 only", hostpool.InUse())
+	}
+}
+
+// TestJobPanicFailsOneJob: a panic inside a job's build-and-simulate step
+// fails that job with the panic text, releases its hostpool grant, and
+// leaves the scheduler running the jobs beside and behind it.
+func TestJobPanicFailsOneJob(t *testing.T) {
+	prev := hostpool.SetBudget(4)
+	defer hostpool.SetBudget(prev)
+
+	release := make(chan struct{})
+	srv := New(Options{TenantLimit: 8, runJob: func(j *Job) ([]byte, error) {
+		if strings.HasSuffix(j.spec.Sources["x.f"], "/1") {
+			panic("index out of range [7] with length 3")
+		}
+		<-release
+		return []byte(`{"v":1}`), nil
+	}})
+	submit := func(n int) *Job {
+		j, _, err := srv.Submit(fakeReq("t", n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j
+	}
+	// The first job holds the server's implicit worker, so the panicking
+	// one runs beside it on a pool grant — the grant a panic would leak.
+	beside := submit(0)
+	waitStats(t, srv, func(st Stats) bool { return st.Running == 1 })
+	bad := submit(1)
+	waitDone(t, srv, bad)
+	if bad.State != StateFailed || !strings.Contains(bad.Err, "index out of range [7]") {
+		t.Fatalf("panicking job: state=%s err=%q, want failed with the panic text", bad.State, bad.Err)
+	}
+	close(release)
+	for _, j := range []*Job{beside, submit(2)} {
+		waitDone(t, srv, j)
+		if j.State != StateDone {
+			t.Fatalf("job %s: state=%s err=%q", j.ID, j.State, j.Err)
+		}
+	}
+	if hostpool.InUse() != 0 {
+		t.Fatalf("hostpool workers leaked across a panic: %d in use", hostpool.InUse())
 	}
 }

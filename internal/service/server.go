@@ -509,15 +509,25 @@ func (s *Server) schedule() {
 	}
 }
 
+// execute is the build-and-simulate step of one job. A panic inside it —
+// a toolchain or simulator bug reached by this job's input — becomes the
+// job's error, so it fails that job alone: runJob still releases the
+// hostpool grant and the scheduler carries on.
+func (s *Server) execute(j *Job) (data []byte, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("service: job %s panicked: %v", j.ID, r)
+		}
+	}()
+	if s.opts.runJob != nil {
+		return s.opts.runJob(j)
+	}
+	return s.simulate(j)
+}
+
 // runJob executes one job and publishes its outcome.
 func (s *Server) runJob(j *Job, grant int) {
-	var data []byte
-	var err error
-	if s.opts.runJob != nil {
-		data, err = s.opts.runJob(j)
-	} else {
-		data, err = s.simulate(j)
-	}
+	data, err := s.execute(j)
 
 	s.mu.Lock()
 	if err != nil {
