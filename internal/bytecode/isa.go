@@ -227,9 +227,9 @@ func (p *Program) Patch() error {
 }
 
 // Clone deep-copies the load-mutable state of the program: the loader
-// assigns Syms addresses (and normalizes Bytes) and Patch rewrites Code
-// immediates in place, so a program served from a build cache must be
-// cloned before every load. Relocs are immutable and stay shared.
+// assigns Syms addresses and Patch rewrites Code immediates in place, so a
+// program served from a build cache must be cloned before every load. Relocs
+// are immutable and stay shared.
 func (p *Program) Clone() *Program {
 	np := &Program{Main: p.Main, Relocs: p.Relocs}
 	np.Fns = make([]*Fn, len(p.Fns))

@@ -12,6 +12,8 @@ package codegen
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"dsmdist/internal/bytecode"
 	"dsmdist/internal/dist"
@@ -180,13 +182,20 @@ type gen struct {
 	unit      *ir.Unit
 }
 
-// elemCount multiplies constant extents.
-func elemCount(dims []int64) int64 {
-	n := int64(1)
+// arrayBytes is the storage of an array with constant extents, eight bytes
+// an element; ok is false when an extent is negative or the product does not
+// fit an int64. layoutUnit checks every array of a unit once, so the sizes
+// recorded afterwards (data symbols, ArrayPlan, CheckInfo) cannot have
+// wrapped.
+func arrayBytes(dims []int64) (n int64, ok bool) {
+	size := uint64(8)
 	for _, d := range dims {
-		n *= d
+		var hi uint64
+		if hi, size = bits.Mul64(size, uint64(d)); d < 0 || hi != 0 || size > math.MaxInt64 {
+			return 0, false
+		}
 	}
-	return n
+	return int64(size), true
 }
 
 // newDataSym appends a data symbol.
@@ -208,6 +217,14 @@ func DescBytes(nd int) int64 { return DescTableOff(nd) + 128*8 }
 // layoutUnit creates data symbols, descriptors and array plans for one
 // unit.
 func (g *gen) layoutUnit(u *ir.Unit) error {
+	for _, s := range u.Syms {
+		if dims, constDims := s.ConstDims(); s.Kind == ir.Array && constDims {
+			if _, ok := arrayBytes(dims); !ok {
+				return fmt.Errorf("%s: array %s: extents %v are negative or overflow the array's size", u.Name, s.Name, dims)
+			}
+		}
+	}
+
 	// Common blocks: the block's size is the max over declarations;
 	// member offsets accumulate in declaration order.
 	for _, cb := range u.CommonBlocks {
@@ -218,15 +235,17 @@ func (g *gen) layoutUnit(u *ir.Unit) error {
 			g.commons[cb.Name] = cl
 		}
 		off := int64(0)
-		for i, m := range cb.Members {
+		for _, m := range cb.Members {
 			dims, err := requireConstDims(u, m)
 			if err != nil {
 				return err
 			}
-			key := fmt.Sprintf("#%d", i)
 			cl.offsets[u.Name+"."+m.Name] = off
-			_ = key
-			off += elemCount(dims) * 8
+			bytes, _ := arrayBytes(dims)
+			if off > math.MaxInt64-bytes {
+				return fmt.Errorf("%s: common /%s/ is too large (its size overflows at %s)", u.Name, cb.Name, m.Name)
+			}
+			off += bytes
 		}
 		if off > cl.size {
 			cl.size = off
@@ -308,8 +327,8 @@ func (g *gen) layoutUnit(u *ir.Unit) error {
 			Redistributed: s.Redistributed,
 		}
 		if s.Dist == nil || !s.Dist.Reshape {
-			plan.DataSym = g.newDataSym(u.Name+"."+s.Name, bytecode.SymData,
-				elemCount(dims)*8, 4096)
+			bytes, _ := arrayBytes(dims)
+			plan.DataSym = g.newDataSym(u.Name+"."+s.Name, bytecode.SymData, bytes, 4096)
 		}
 		if s.Dist != nil {
 			plan.DescSym = g.newDataSym("desc:"+u.Name+"."+s.Name, bytecode.SymDesc,

@@ -313,3 +313,75 @@ func TestDescLayoutHelpers(t *testing.T) {
 		t.Fatal("descriptor too small for its table")
 	}
 }
+
+// TestArraySizeOverflowRejected: extents whose product wraps an int64 used
+// to be laid out as an 8-byte symbol, so stores to the array ran over its
+// neighbours. The size is overflow-checked wherever it is recorded: a static
+// array, a common member and its block, and a formal's CheckInfo.
+func TestArraySizeOverflowRejected(t *testing.T) {
+	for name, src := range map[string]string{
+		"x": `
+      program p
+      real*8 x(3000000,3000000,3000000), y(4)
+      x(1,1,1) = 1.0
+      y(1) = x(1,1,1)
+      end
+`,
+		"neg": `
+      program p
+      real*8 neg(-5)
+      neg(1) = 1.0
+      end
+`,
+		"c": `
+      program p
+      real*8 c(4000000000,4000000000)
+      common /blk/ c
+      c(1,1) = 1.0
+      end
+`,
+		"/blk/": `
+      program p
+      real*8 c(1000000000,1000000000), d(1000000000,1000000000)
+      common /blk/ c, d
+      c(1,1) = 1.0
+      end
+`,
+		"f": `
+      program p
+      real*8 a(4)
+      call s(a)
+      end
+
+      subroutine s(f)
+      real*8 f(3000000,3000000,3000000)
+      f(1,1,1) = 0.0
+      return
+      end
+`,
+	} {
+		f, err := fortran.Parse("t.f", src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		units, err := sema.AnalyzeFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, u := range units {
+			xform.Transform(u, xform.O3())
+		}
+		_, err = Program(units, Env{Resolve: func(string, []*dist.Spec) (int, error) { return 1, nil }}, Options{RuntimeChecks: true})
+		if err == nil || !strings.Contains(err.Error(), name) || !strings.Contains(err.Error(), "overflow") {
+			t.Errorf("%s: err = %v, want an overflow error naming it", name, err)
+		}
+	}
+
+	// The boundary: 2^62 bytes fit, 2^63 do not.
+	if n, ok := arrayBytes([]int64{1 << 30, 1 << 29}); !ok || n != 1<<62 {
+		t.Errorf("arrayBytes(2^30, 2^29) = %d, %v; want 2^62", n, ok)
+	}
+	if n, ok := arrayBytes([]int64{1 << 30, 1 << 30}); ok {
+		t.Errorf("arrayBytes(2^30, 2^30) = %d, want it rejected", n)
+	}
+}

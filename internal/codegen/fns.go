@@ -118,7 +118,7 @@ func (c *fnc) formalCheckInfo(p *ir.Sym) int {
 	info := CheckInfo{Kind: CheckFormal, Array: p.Name, Unit: c.u.Name, Line: p.Line}
 	if dims, ok := p.ConstDims(); ok {
 		info.Dims = dims
-		info.Bytes = elemCount(dims) * 8
+		info.Bytes, _ = arrayBytes(dims)
 	}
 	info.Spec = p.Dist
 	c.g.res.Checks = append(c.g.res.Checks, info)
@@ -483,7 +483,7 @@ func (c *fnc) wholeCheckInfo(s *ir.Sym, line int) int {
 	info := CheckInfo{Kind: CheckWhole, Array: s.Name, Unit: c.u.Name, Line: line, Spec: s.Dist}
 	if dims, ok := s.ConstDims(); ok {
 		info.Dims = dims
-		info.Bytes = elemCount(dims) * 8
+		info.Bytes, _ = arrayBytes(dims)
 	}
 	c.g.res.Checks = append(c.g.res.Checks, info)
 	return len(c.g.res.Checks) - 1

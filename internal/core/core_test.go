@@ -483,6 +483,11 @@ c$distribute_reshape a(block)
 	if err == nil || !strings.Contains(err.Error(), "match exactly") {
 		t.Fatalf("shape mismatch: %v", err)
 	}
+	// Extents whose product wraps an int64.
+	_, err = tc.Build(map[string]string{"m.f": "      program p\n      real*8 x(3000000,3000000,3000000)\n      x(1,1,1) = 1.0\n      end\n"})
+	if err == nil || !strings.Contains(err.Error(), "array x") || !strings.Contains(err.Error(), "overflow") {
+		t.Fatalf("array size overflow: %v", err)
+	}
 }
 
 func TestCommonConsistencyLinkCheck(t *testing.T) {

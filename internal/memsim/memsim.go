@@ -358,6 +358,10 @@ type System struct {
 	// bwTotal is ValidateScouts' per-(node, window) booking sum, kept
 	// between epochs so a validation allocates nothing.
 	bwTotal map[int64]int32
+
+	// reserved is the heap size in bytes that the arrays behind mem, dir
+	// and pageMiss have room for (Reserve); brk never exceeds it.
+	reserved int64
 }
 
 // SetL0 enables or disables the host-side access fast paths (the per-
@@ -470,35 +474,60 @@ func New(cfg *machine.Config, pm *ospage.Manager) (*System, error) {
 	return s, nil
 }
 
-// Alloc reserves n bytes of virtual address space aligned to align (which
-// must be a power of two, at least 8) and returns the base address. The
-// space is zero-filled and unplaced; pages materialize on first touch or
-// explicit placement.
-func (s *System) Alloc(n int64, align int64) int64 {
+// Bump is the heap's allocation rule, the only copy of it: the base of an
+// n-byte block aligned to align (a power of two; anything below 8 means 8)
+// allocated at brk, and the brk after it. Alloc applies it to the live heap;
+// a loader applies it to plain numbers to lay an image out before a byte is
+// allocated (rtl.LoadObs), so the two cannot disagree about an address.
+func Bump(brk, n, align int64) (base, next int64) {
 	if align < 8 {
 		align = 8
 	}
-	base := (s.brk + align - 1) &^ (align - 1)
-	s.brk = base + n
-	need := (s.brk + 7) >> 3
-	for int64(len(s.mem)) < need {
-		grow := need - int64(len(s.mem))
-		s.mem = append(s.mem, make([]uint64, grow)...)
+	base = (brk + align - 1) &^ (align - 1)
+	return base, base + n
+}
+
+// Alloc reserves n bytes of virtual address space aligned to align (which
+// must be a power of two, at least 8) and returns the base address. The
+// space is zero-filled and unplaced; pages materialize on first touch or
+// explicit placement. Inside a reservation (Reserve) it is a reslice of the
+// backing store; past one it doubles the reservation, so a heap grown one
+// Alloc at a time is copied an amortised once.
+func (s *System) Alloc(n int64, align int64) int64 {
+	var base int64
+	base, s.brk = Bump(s.brk, n, align)
+	if s.brk > s.reserved {
+		s.Reserve(max(s.brk, 2*s.reserved))
 	}
-	needDir := (s.brk >> s.l2Shift) + 1
-	for int64(len(s.dir)) < needDir {
-		grow := needDir - int64(len(s.dir))
-		chunk := make([]dirEntry, grow)
-		for i := range chunk {
-			chunk[i].owner = -1
-		}
-		s.dir = append(s.dir, chunk...)
-	}
-	needPages := (s.brk >> s.Pages.PageShift()) + 1
-	for int64(len(s.pageMiss)) < needPages {
-		s.pageMiss = append(s.pageMiss, make([]int64, needPages-int64(len(s.pageMiss)))...)
-	}
+	words, lines, pages := s.extent(s.brk)
+	s.mem, s.dir, s.pageMiss = s.mem[:words], s.dir[:lines], s.pageMiss[:pages]
 	return base
+}
+
+// extent is the length of the backing store, the directory and the per-page
+// miss counters of a heap whose top is brk.
+func (s *System) extent(brk int64) (words, lines, pages int64) {
+	return (brk + 7) >> 3, brk>>s.l2Shift + 1, brk>>s.Pages.PageShift() + 1
+}
+
+// Reserve makes room for the heap to grow to brk bytes: the backing store,
+// the directory and the per-page miss counters each move, once, to an array
+// of their final size, and every Alloc up to brk reslices it. Lengths — and
+// with them Brk and every out-of-range trap — still follow Alloc alone. A
+// brk inside the current reservation is a no-op.
+func (s *System) Reserve(brk int64) {
+	if brk <= s.reserved {
+		return
+	}
+	s.reserved = brk
+	words, lines, pages := s.extent(brk)
+	s.mem = append(make([]uint64, 0, words), s.mem...)
+	s.pageMiss = append(make([]int64, 0, pages), s.pageMiss...)
+	dir := make([]dirEntry, lines)
+	for i := copy(dir, s.dir); i < len(dir); i++ {
+		dir[i].owner = -1
+	}
+	s.dir = dir[:len(s.dir)]
 }
 
 // PageMisses returns the total L2 misses charged to pages overlapping the

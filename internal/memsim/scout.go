@@ -372,7 +372,9 @@ func (s *System) AbortScout(p int) {
 func (s *System) beginValidateEpoch() {
 	s.scoutEpoch++
 	if len(s.claim) < len(s.dir) {
-		s.claim = append(s.claim, make([]int64, len(s.dir)-len(s.claim))...)
+		// Stamps of earlier epochs are dead, so a heap that grew gets a
+		// fresh table; after a load that is once a run.
+		s.claim = make([]int64, len(s.dir))
 	}
 }
 

@@ -120,14 +120,11 @@ type pushedArg struct {
 // StackBytes is the per-processor stack segment size.
 const StackBytes = 256 << 10
 
-// poolChunk is the allocation granularity of per-processor reshaped pools.
-type pool struct {
-	cur, end int64
-}
-
 // Load materializes the compiled image: allocates static data, builds
 // descriptors and portion pools, and places pages for regular
-// distributions.
+// distributions. An image whose sizes are malformed, or that needs more
+// simulated memory than maxImageBytes, is an error before anything is
+// allocated.
 func Load(res *codegen.Result, cfg *machine.Config, policy ospage.Policy) (*Runtime, error) {
 	return LoadObs(res, cfg, policy, nil)
 }
@@ -155,34 +152,40 @@ func LoadObs(res *codegen.Result, cfg *machine.Config, policy ospage.Policy, rec
 		argTable: map[int64][]pushedArg{},
 	}
 
-	// Static data symbols.
-	for _, s := range res.Prog.Syms {
-		if s.Bytes <= 0 {
-			s.Bytes = 8
+	// Plan, reserve, materialise: the whole image is laid out as numbers,
+	// the heap is made once at the size that comes to, and the
+	// allocations are then replayed on it — each a reslice, each checked
+	// against the plan — so no later step of the load allocates.
+	lay, err := planLoad(res, cfg, sys.Brk())
+	if err != nil {
+		return nil, fmt.Errorf("rtl: %w", err)
+	}
+	sys.Reserve(lay.brk)
+	for _, b := range lay.blocks {
+		if got := sys.Alloc(b.n, b.align); got != b.base {
+			return nil, fmt.Errorf("rtl: layout planned a %d-byte block at %#x, the heap put it at %#x", b.n, b.base, got)
 		}
-		s.Addr = sys.Alloc(s.Bytes, s.Align)
+	}
+
+	// Static data symbols.
+	for i, s := range res.Prog.Syms {
+		s.Addr = lay.syms[i]
 	}
 	if err := res.Prog.Patch(); err != nil {
 		return nil, err
 	}
 
 	// Per-processor stacks, placed locally.
-	pb := int64(cfg.PageBytes)
-	for p := 0; p < cfg.NProcs; p++ {
-		base := sys.Alloc(StackBytes, pb)
-		rt.StackBase = append(rt.StackBase, base)
+	rt.StackBase = lay.stacks
+	for p, base := range lay.stacks {
 		rt.StackEnd = append(rt.StackEnd, base+StackBytes)
 		pages.Place(base, base+StackBytes, cfg.NodeOf(p), false)
 	}
 
 	// Arrays.
-	pools := make([]pool, cfg.NProcs)
-	for _, plan := range res.Arrays {
-		st, err := rt.loadArray(plan, pools)
-		if err != nil {
-			return nil, err
-		}
-		rt.Arrays = append(rt.Arrays, st)
+	rt.Arrays = lay.arrays
+	for i, st := range rt.Arrays {
+		rt.loadArray(st, lay.chunks[i])
 		if st.DescAddr != 0 {
 			rt.byDesc[st.DescAddr] = st
 		}
@@ -268,38 +271,18 @@ func (st *ArrayState) AddrRanges() [][2]int64 {
 	return [][2]int64{{st.Base, st.Base + st.TotalElems()*8}}
 }
 
-// loadArray materializes one array.
-func (rt *Runtime) loadArray(plan *codegen.ArrayPlan, pools []pool) (*ArrayState, error) {
-	st := &ArrayState{Plan: plan}
-	if plan.DataSym >= 0 {
-		st.Base = rt.Prog.Syms[plan.DataSym].Addr + plan.DataOffset
+// loadArray materializes one planned array: the descriptor, then either the
+// reshaped portions or the §4.2 page placement.
+func (rt *Runtime) loadArray(st *ArrayState, chunks []poolChunk) {
+	if st.Plan.Spec == nil {
+		return
 	}
-	if plan.Spec == nil {
-		return st, nil
-	}
-
-	grid, err := dist.NewGrid(*plan.Spec, rt.Cfg.NProcs)
-	if err != nil {
-		return nil, fmt.Errorf("rtl: %s.%s: %w", plan.Unit, plan.Name, err)
-	}
-	st.Grid = grid
-	intDims := make([]int, len(plan.Dims))
-	for i, d := range plan.Dims {
-		intDims[i] = int(d)
-	}
-	st.Maps, err = grid.Maps(intDims)
-	if err != nil {
-		return nil, err
-	}
-	st.DescAddr = rt.Prog.Syms[plan.DescSym].Addr
 	rt.writeDescriptor(st)
-
-	if plan.Spec.Reshape {
-		rt.allocPortions(st, pools)
+	if st.Plan.Spec.Reshape {
+		rt.placePortions(st, chunks)
 	} else {
 		rt.placeRegular(st, false)
 	}
-	return st, nil
 }
 
 // writeDescriptor fills the N/P/B/K/ML fields for every dimension.
@@ -322,44 +305,22 @@ func (rt *Runtime) writeDescriptor(st *ArrayState) {
 	}
 }
 
-// allocPortions builds the processor-array representation of a reshaped
-// array (§4.3, Figure 3): each linear grid processor's portion is allocated
-// from that processor's local pool — so portions need no padding to page
-// boundaries — and the portion table is written into the descriptor.
-func (rt *Runtime) allocPortions(st *ArrayState, pools []pool) {
-	per := int64(8)
-	for _, m := range st.Maps {
-		per *= int64(m.MaxPortionLen())
-	}
-	st.PortionBytes = per
-	st.Portions = make([]int64, st.Grid.Used)
+// placePortions materializes a reshaped array (§4.3, Figure 3): the pool
+// chunks its portions opened are placed on their processors' nodes, and the
+// portion table is written into the descriptor.
+func (rt *Runtime) placePortions(st *ArrayState, chunks []poolChunk) {
 	tbl := st.DescAddr + codegen.DescTableOff(len(st.Maps))
-	for p := 0; p < st.Grid.Used; p++ {
-		addr := rt.poolAlloc(&pools[p], p, per)
-		st.Portions[p] = addr
+	for p, addr := range st.Portions {
+		if len(chunks) > 0 && chunks[0].proc == p {
+			c := chunks[0]
+			chunks = chunks[1:]
+			rt.Pages.Place(c.base, c.base+c.bytes, rt.Cfg.NodeOf(p), false)
+			if rt.Rec != nil {
+				rt.Rec.PoolAlloc(p, rt.Cfg.NodeOf(p), c.bytes)
+			}
+		}
 		rt.Sys.Poke(tbl+int64(p)*8, uint64(addr))
 	}
-}
-
-// poolAlloc bump-allocates from processor p's local pool, growing it in
-// page-multiple chunks placed on p's node.
-func (rt *Runtime) poolAlloc(pl *pool, p int, n int64) int64 {
-	if pl.cur+n > pl.end {
-		pb := int64(rt.Cfg.PageBytes)
-		chunk := (n + pb - 1) / pb * pb
-		if chunk < 16*pb {
-			chunk = 16 * pb
-		}
-		base := rt.Sys.Alloc(chunk, pb)
-		rt.Pages.Place(base, base+chunk, rt.Cfg.NodeOf(p), false)
-		if rt.Rec != nil {
-			rt.Rec.PoolAlloc(p, rt.Cfg.NodeOf(p), chunk)
-		}
-		pl.cur, pl.end = base, base+chunk
-	}
-	a := pl.cur
-	pl.cur += n
-	return a
 }
 
 // ownedRuns invokes fn for every maximal contiguous byte run of the array

@@ -158,3 +158,51 @@ func TestJobPanicFailsOneJob(t *testing.T) {
 		t.Fatalf("hostpool workers leaked across a panic: %d in use", hostpool.InUse())
 	}
 }
+
+// TestOversizedImageFailsOneJob: a 200-byte job whose array cannot fit the
+// host used to end the daemon with the runtime's "out of memory" throw,
+// which no recover() sees. The loader now knows the footprint before it
+// allocates, so the job fails with a load error — and so does one whose
+// extents overflow, at compile time — while the jobs behind them run.
+func TestOversizedImageFailsOneJob(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulator run")
+	}
+	prev := hostpool.SetBudget(4)
+	defer hostpool.SetBudget(prev)
+
+	srv := New(Options{})
+	submit := func(decl string) *Job {
+		elem := "x(1" + strings.Repeat(",1", strings.Count(decl, ",")) + ")"
+		j, _, err := srv.Submit(&JobRequest{
+			Sources: map[string]string{"big.f": "      program big\n      real*8 " + decl + "\n      " + elem + " = 1.0\n      end\n"},
+			Machine: "tiny",
+			Procs:   2,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j
+	}
+	for decl, want := range map[string]string{
+		"x(2000000000)":              "rtl: image needs 16000",
+		"x(3000000,3000000,3000000)": "overflow",
+	} {
+		bad := submit(decl)
+		waitDone(t, srv, bad)
+		if bad.State != StateFailed || !strings.Contains(bad.Err, want) || strings.Contains(bad.Err, "panicked") {
+			t.Fatalf("%s: state=%s err=%q, want failed with %q", decl, bad.State, bad.Err, want)
+		}
+	}
+	ok := submit("x(2000)")
+	waitDone(t, srv, ok)
+	if ok.State != StateDone {
+		t.Fatalf("job behind the oversized ones: state=%s err=%q", ok.State, ok.Err)
+	}
+	if hostpool.InUse() != 0 {
+		t.Fatalf("hostpool workers leaked across a failed load: %d in use", hostpool.InUse())
+	}
+	if st := srv.ServerStats(); st.Running != 0 || st.Queued != 0 {
+		t.Fatalf("server not idle after the jobs: %+v", st)
+	}
+}

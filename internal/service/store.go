@@ -38,16 +38,18 @@ type storeEntry struct {
 	Key  string `json:"key"`
 	Size int64  `json:"size"`
 	// Seq is the LRU clock: higher = more recently used. Persisted with
-	// the index so recency survives restarts (Get bumps are flushed
-	// lazily — on the next Put, on Close, or after flushEveryGets
-	// unflushed bumps).
+	// the index so recency survives restarts (Get bumps and Puts are
+	// flushed lazily — on Close, or after flushEveryGets unflushed ones).
 	Seq int64 `json:"seq"`
 }
 
-// flushEveryGets bounds how many Get recency bumps may sit unflushed. A
-// read-heavy daemon killed uncleanly (kill -9, OOM) then loses at most
-// this much recency instead of all of it, so the next eviction pass runs
-// on near-current LRU order rather than the order as of the last Put.
+// flushEveryGets bounds how many index mutations — Get recency bumps and
+// Puts alike — may sit unflushed. The index carries only recency (OpenStore
+// re-adopts any object file it does not list), so a daemon killed uncleanly
+// (kill -9, OOM) loses at most this much of it, and the next eviction pass
+// runs on near-current LRU order; rewriting the whole index on every
+// mutation instead costs milliseconds under the store lock once the store
+// holds a thousand entries.
 const flushEveryGets = 64
 
 // storeIndex is the on-disk index document.
@@ -59,14 +61,14 @@ type storeIndex struct {
 
 // Store is the bounded, persistent content-addressed cache.
 type Store struct {
-	mu       sync.Mutex
-	dir      string
-	maxBytes int64
-	entries  map[string]*storeEntry // indexed by kind/key
-	bytes    int64
-	seq      int64
-	dirty    bool // index has unflushed recency/membership changes
-	getBumps int  // Get recency bumps since the last flush
+	mu        sync.Mutex
+	dir       string
+	maxBytes  int64
+	entries   map[string]*storeEntry // indexed by kind/key
+	bytes     int64
+	seq       int64
+	dirty     bool // index has unflushed recency/membership changes
+	unflushed int  // Gets and Puts since the last flush
 
 	hits, misses, evictions int64
 }
@@ -85,8 +87,11 @@ func (s *Store) indexPath() string { return filepath.Join(s.dir, "index.json") }
 // OpenStore opens (creating if needed) a store rooted at dir, bounded to
 // maxBytes of payload (<= 0 selects DefaultStoreBytes). An existing store
 // is recovered from its index; entries whose files have vanished are
-// dropped, and files not covered by the index are re-adopted with cold
-// recency, so a torn shutdown loses at worst recency, never correctness.
+// dropped, and files not covered by the index are re-adopted as the most
+// recently used, oldest file first — a file the index does not know was
+// written after the index was — so a torn shutdown loses at worst some
+// recency, never correctness, and never makes the freshest results the
+// first evicted.
 func OpenStore(dir string, maxBytes int64) (*Store, error) {
 	if maxBytes <= 0 {
 		maxBytes = DefaultStoreBytes
@@ -116,13 +121,13 @@ func OpenStore(dir string, maxBytes int64) (*Store, error) {
 		}
 	}
 
-	// Adopt objects the index does not know (torn shutdown after a Put
-	// but before a flush). Sorted for deterministic cold-recency order.
+	// Adopt objects the index does not know (Puts since the last flush),
+	// in the order they were written; names break ties deterministically.
 	names, err := os.ReadDir(filepath.Join(dir, "obj"))
 	if err != nil {
 		return nil, fmt.Errorf("service: open store: %w", err)
 	}
-	var adopted []string
+	var adopted []os.FileInfo
 	for _, de := range names {
 		name := de.Name()
 		kind, key, ok := strings.Cut(name, "-")
@@ -132,17 +137,21 @@ func OpenStore(dir string, maxBytes int64) (*Store, error) {
 		if Kind(kind) != KindCompile && Kind(kind) != KindResult {
 			continue
 		}
-		if _, known := s.entries[entryID(Kind(kind), key)]; !known {
-			adopted = append(adopted, name)
-		}
-	}
-	sort.Strings(adopted)
-	for _, name := range adopted {
-		kind, key, _ := strings.Cut(name, "-")
-		fi, err := os.Stat(filepath.Join(dir, "obj", name))
-		if err != nil {
+		if _, known := s.entries[entryID(Kind(kind), key)]; known {
 			continue
 		}
+		if fi, err := de.Info(); err == nil {
+			adopted = append(adopted, fi)
+		}
+	}
+	sort.Slice(adopted, func(i, j int) bool {
+		if ti, tj := adopted[i].ModTime(), adopted[j].ModTime(); !ti.Equal(tj) {
+			return ti.Before(tj)
+		}
+		return adopted[i].Name() < adopted[j].Name()
+	})
+	for _, fi := range adopted {
+		kind, key, _ := strings.Cut(fi.Name(), "-")
 		s.seq++
 		s.entries[entryID(Kind(kind), key)] = &storeEntry{
 			Kind: Kind(kind), Key: key, Size: fi.Size(), Seq: s.seq}
@@ -176,14 +185,21 @@ func (s *Store) Get(kind Kind, key string) ([]byte, bool) {
 	}
 	s.seq++
 	e.Seq = s.seq
-	s.dirty = true
 	s.hits++
-	if s.getBumps++; s.getBumps >= flushEveryGets {
-		// Best effort: a failed flush leaves the index dirty and the next
-		// Put/Close/threshold crossing retries; the Get itself succeeded.
-		_ = s.flushLocked()
-	}
+	// Best effort: a failed flush leaves the index dirty and the next
+	// Close or threshold crossing retries; the Get itself succeeded.
+	_ = s.mutatedLocked()
 	return data, true
+}
+
+// mutatedLocked counts one unflushed index mutation and flushes the index
+// once flushEveryGets of them have piled up. Callers hold mu.
+func (s *Store) mutatedLocked() error {
+	s.dirty = true
+	if s.unflushed++; s.unflushed < flushEveryGets {
+		return nil
+	}
+	return s.flushLocked()
 }
 
 // Contains reports presence without reading the payload or bumping
@@ -195,10 +211,12 @@ func (s *Store) Contains(kind Kind, key string) bool {
 	return ok
 }
 
-// Put inserts (or refreshes) a payload and flushes the index. Entries
-// larger than the whole store bound are rejected silently (cache, not
-// storage). The content-addressed contract makes overwrites idempotent:
-// same key, same bytes.
+// Put inserts (or refreshes) a payload. The object file is on disk when it
+// returns; the index is flushed lazily (flushEveryGets), since a file the
+// index does not list yet is re-adopted by OpenStore. Entries larger than
+// the whole store bound are rejected silently (cache, not storage). The
+// content-addressed contract makes overwrites idempotent: same key, same
+// bytes.
 func (s *Store) Put(kind Kind, key string, data []byte) error {
 	if !keyRE.MatchString(key) {
 		return fmt.Errorf("service: store key %q is not a content hash", key)
@@ -226,9 +244,8 @@ func (s *Store) Put(kind Kind, key string, data []byte) error {
 	s.seq++
 	s.entries[id] = &storeEntry{Kind: kind, Key: key, Size: int64(len(data)), Seq: s.seq}
 	s.bytes += int64(len(data))
-	s.dirty = true
 	s.evictOverLocked()
-	return s.flushLocked()
+	return s.mutatedLocked()
 }
 
 // dropLocked removes an entry and its file. Callers hold mu.
@@ -278,7 +295,7 @@ func (s *Store) flushLocked() error {
 		return fmt.Errorf("service: store flush: %w", err)
 	}
 	s.dirty = false
-	s.getBumps = 0
+	s.unflushed = 0
 	return nil
 }
 

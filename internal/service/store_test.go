@@ -201,3 +201,83 @@ func TestStoreRecoversFromCorruptIndex(t *testing.T) {
 		t.Fatal("payload lost to a corrupt index")
 	}
 }
+
+// TestStoreUnflushedPutsSurviveCrash: Put leaves the index alone until
+// flushEveryGets mutations have piled up, and a store abandoned before then
+// (kill -9) re-adopts the unlisted objects as the most recently used — the
+// results computed last are the last evicted, not the first.
+func TestStoreUnflushedPutsSurviveCrash(t *testing.T) {
+	dir := t.TempDir()
+	pay := bytes.Repeat([]byte("x"), 10)
+	s, err := OpenStore(dir, 40) // fits exactly four payloads
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 1; n <= 2; n++ {
+		if err := s.Put(KindResult, hexKey(n), pay); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := OpenStore(dir, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 3; n <= 4; n++ {
+		if err := s2.Put(KindResult, hexKey(n), pay); err != nil {
+			t.Fatal(err)
+		}
+	}
+	idx, err := os.ReadFile(filepath.Join(dir, "index.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(idx, []byte(hexKey(3))) || !bytes.Contains(idx, []byte(hexKey(2))) {
+		t.Fatalf("two Puts rewrote the index (or the flushed one is gone):\n%s", idx)
+	}
+
+	// Abandon s2 WITHOUT Close and reopen.
+	s3, err := OpenStore(dir, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s3.Len() != 4 {
+		t.Fatalf("reopened Len = %d, want 4 (2 indexed + 2 adopted)", s3.Len())
+	}
+	for _, step := range []struct{ put, evicts int }{{5, 1}, {6, 2}, {7, 3}} {
+		if err := s3.Put(KindResult, hexKey(step.put), pay); err != nil {
+			t.Fatal(err)
+		}
+		if s3.Contains(KindResult, hexKey(step.evicts)) {
+			t.Fatalf("Put of key %d did not evict key %d", step.put, step.evicts)
+		}
+		if s3.Len() != 4 {
+			t.Fatalf("Put of key %d left %d entries, want 4", step.put, s3.Len())
+		}
+	}
+	if !s3.Contains(KindResult, hexKey(4)) {
+		t.Fatal("the freshest pre-crash result was evicted before older ones")
+	}
+
+	// Puts count toward the flush threshold: enough of them reach disk
+	// without a Close.
+	big, err := OpenStore(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 1; n <= flushEveryGets; n++ {
+		if err := big.Put(KindResult, hexKey(n), pay); err != nil {
+			t.Fatal(err)
+		}
+	}
+	idx, err = os.ReadFile(big.indexPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(idx, []byte(hexKey(flushEveryGets))) {
+		t.Fatalf("%d Puts never flushed the index", flushEveryGets)
+	}
+}
