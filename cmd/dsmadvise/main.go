@@ -70,17 +70,8 @@ func main() {
 	procs, err := parseProcs(*procList)
 	die(err)
 
-	var mach func(int) *machine.Config
-	switch *machName {
-	case "origin2000":
-		mach = machine.Origin2000
-	case "scaled":
-		mach = machine.Scaled
-	case "tiny":
-		mach = machine.Tiny
-	default:
-		die(fmt.Errorf("unknown machine %q (accepted: origin2000, scaled, tiny)", *machName))
-	}
+	mach, err := machine.Preset(*machName)
+	die(err)
 
 	var heat *obs.HeatMap
 	if *heatFile != "" {

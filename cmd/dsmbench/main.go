@@ -61,7 +61,6 @@ func main() {
 	procsFlag := flag.String("procs", "", "comma-separated processor counts")
 	par := flag.Int("par", 0, "host worker budget shared by sweeps and the parallel engine (0 = GOMAXPROCS, 1 = serial)")
 	engineName := flag.String("engine", "auto", "host engine: serial | parallel | auto")
-	tierName := flag.String("tier", "auto", "execution tier: classic | compiled | auto")
 	jsonOut := flag.String("json", "", "write all rows as JSON to file")
 	progress := flag.Bool("progress", false, "live progress line on stderr per sweep")
 	remote := flag.String("remote", "", "dsmd service URL: run sweep points there as one batch per sweep")
@@ -89,9 +88,6 @@ func main() {
 	eng, err := exec.ParseEngine(*engineName)
 	die(err)
 	sizes.Engine = eng
-	tier, err := exec.ParseTier(*tierName)
-	die(err)
-	sizes.Tier = tier
 	if *progress {
 		sizes.Progress = os.Stderr
 	}

@@ -22,8 +22,6 @@
 //	-trace FILE   also write a Chrome trace_event timeline
 //	-heat-json F  also write the per-array × per-node heat map in the
 //	              schema internal/advisor consumes (dsmadvise -heat F)
-//	-redist M     scheduled | serial (default scheduled): cost model for
-//	              c$redistribute, as in dsmrun
 //	-engine E     serial | parallel | auto (default auto): host execution
 //	              engine, as in dsmrun; profiles are bit-identical across
 //	              engines
@@ -68,9 +66,7 @@ func main() {
 	csvOut := flag.String("csv", "", "write per-region CSV to file")
 	traceOut := flag.String("trace", "", "write Chrome trace-event JSON to file")
 	heatOut := flag.String("heat-json", "", "write the per-array heat map (advisor schema) to file")
-	redist := flag.String("redist", "scheduled", "c$redistribute model: scheduled | serial")
 	engineName := flag.String("engine", "auto", "host engine: serial | parallel | auto")
-	tierName := flag.String("tier", "auto", "execution tier: classic | compiled | auto")
 	maxQuanta := flag.Int64("max-quanta", 0, "runaway-loop guard: max scheduling rounds (0 = default)")
 	serveAddr := flag.String("serve", "", "serve live run views on this address (e.g. :8080)")
 	seriesOut := flag.String("series", "", "append cycle-sampled snapshot rows to this JSONL file")
@@ -93,31 +89,13 @@ func main() {
 		os.Exit(2)
 	}
 
-	var cfg *machine.Config
-	switch *machName {
-	case "origin2000":
-		cfg = machine.Origin2000(*procs)
-	case "scaled":
-		cfg = machine.Scaled(*procs)
-	case "tiny":
-		cfg = machine.Tiny(*procs)
-	default:
-		die(fmt.Errorf("unknown machine %q (accepted: origin2000, scaled, tiny)", *machName))
-	}
+	mach, err := machine.Preset(*machName)
+	die(err)
+	cfg := mach(*procs)
 	policy, err := ospage.ParsePolicy(*policyName)
 	die(err)
 	engine, err := exec.ParseEngine(*engineName)
 	die(err)
-	tier, err := exec.ParseTier(*tierName)
-	die(err)
-	var redistSerial bool
-	switch *redist {
-	case "scheduled":
-	case "serial":
-		redistSerial = true
-	default:
-		die(fmt.Errorf("unknown -redist %q (accepted: scheduled, serial)", *redist))
-	}
 
 	rec := obs.NewRecorder(cfg)
 	if *traceOut != "" || *serveAddr != "" {
@@ -193,7 +171,7 @@ func main() {
 	}
 
 	run, err := exec.Run(res, cfg, exec.Options{Policy: policy, Rec: rec,
-		RedistSerial: redistSerial, Engine: engine, Tier: tier, MaxQuanta: *maxQuanta})
+		Engine: engine, MaxQuanta: *maxQuanta})
 	die(err)
 
 	fmt.Printf("dsmprof: %d cycles (%.6f s at %d MHz), policy %s\n\n",

@@ -21,20 +21,10 @@
 //	-arrays       print the final contents of small arrays (<= 64 elements)
 //	-trace FILE   write a Chrome trace_event timeline (chrome://tracing)
 //	-prof         print a dsmprof-style profile after the run
-//	-redist M     scheduled | serial (default scheduled): cost model for
-//	              c$redistribute. "scheduled" moves data as a round-based
-//	              bulk-transfer collective across all nodes; "serial" keeps
-//	              the legacy per-page walk charged to the calling processor
-//	              (A/B comparison)
 //	-engine E     serial | parallel | auto (default auto): host execution
 //	              engine. The parallel engine runs simulated processors on
 //	              real cores; results are bit-identical to serial (the
 //	              DSM_ENGINE environment variable overrides auto)
-//	-tier T       classic | compiled | auto (default auto): bytecode
-//	              execution tier. "compiled" pre-translates the program
-//	              into fused closures; results are bit-identical to the
-//	              classic interpreter (the DSM_TIER environment variable
-//	              overrides auto)
 //	-max-quanta N raise the runaway-loop guard (scheduling rounds before
 //	              the run is aborted as an infinite loop)
 //	-json         print the run's statistics as JSON instead of text
@@ -95,9 +85,7 @@ func main() {
 	arrays := flag.Bool("arrays", false, "print final contents of small arrays")
 	traceOut := flag.String("trace", "", "write Chrome trace-event JSON to file")
 	prof := flag.Bool("prof", false, "print a profile breakdown after the run")
-	redist := flag.String("redist", "scheduled", "c$redistribute model: scheduled | serial")
 	engineName := flag.String("engine", "auto", "host engine: serial | parallel | auto")
-	tierName := flag.String("tier", "auto", "execution tier: classic | compiled | auto")
 	maxQuanta := flag.Int64("max-quanta", 0, "runaway-loop guard: max scheduling rounds (0 = default)")
 	jsonOut := flag.Bool("json", false, "print statistics as JSON")
 	remote := flag.String("remote", "", "submit to a dsmd service at this URL instead of running locally")
@@ -114,27 +102,16 @@ func main() {
 		os.Exit(2)
 	}
 
-	var cfg *machine.Config
-	switch *machName {
-	case "origin2000":
-		cfg = machine.Origin2000(*procs)
-	case "scaled":
-		cfg = machine.Scaled(*procs)
-	case "tiny":
-		cfg = machine.Tiny(*procs)
-	default:
-		die(fmt.Errorf("unknown machine %q (accepted: origin2000, scaled, tiny)", *machName))
-	}
+	mach, err := machine.Preset(*machName)
+	die(err)
+	cfg := mach(*procs)
 	policy, err := ospage.ParsePolicy(*policyName)
 	die(err)
 	engine, err := exec.ParseEngine(*engineName)
 	die(err)
-	tier, err := exec.ParseTier(*tierName)
-	die(err)
 
 	if *remote != "" {
-		runRemote(*remote, *machName, *procs, *policyName, *redist,
-			*engineName, *tierName, *jsonOut, flag.Args())
+		runRemote(*remote, *machName, *procs, *policyName, *engineName, *jsonOut, flag.Args())
 		return
 	}
 
@@ -152,14 +129,6 @@ func main() {
 			die(pprof.WriteHeapProfile(f))
 			f.Close()
 		}()
-	}
-	var redistSerial bool
-	switch *redist {
-	case "scheduled":
-	case "serial":
-		redistSerial = true
-	default:
-		die(fmt.Errorf("unknown -redist %q (accepted: scheduled, serial)", *redist))
 	}
 
 	// The observability layer is only attached when asked for, keeping
@@ -250,7 +219,7 @@ func main() {
 	}
 
 	run, err := exec.Run(res, cfg, exec.Options{Policy: policy, Rec: rec,
-		RedistSerial: redistSerial, Engine: engine, Tier: tier, MaxQuanta: *maxQuanta})
+		Engine: engine, MaxQuanta: *maxQuanta})
 	die(err)
 
 	// Normal exit: Recorder.Finish drained the stream at the final clock;
@@ -274,9 +243,6 @@ func main() {
 		}
 		fmt.Printf("engine:  parallel (%d epochs committed, %d serial fallbacks%s, %d sat out)\n",
 			run.EpochsCommitted, run.EpochsFallback, causes, run.EpochsSkipped)
-	}
-	if run.TierUsed == exec.TierClassic {
-		fmt.Printf("tier:    classic interpreter\n")
 	}
 	fmt.Printf("cycles:  %d (%.6f s at %d MHz)\n", run.Cycles, run.Seconds(), cfg.ClockMHz)
 	if run.TimerCycles > 0 {
@@ -342,7 +308,7 @@ func serveWait(addr string) {
 
 // writeJSON emits the run's simulated statistics as the canonical
 // schema-versioned result document ("v": 1). Every field is a simulated
-// quantity, so the output is byte-identical across host engines and tiers
+// quantity, so the output is byte-identical across host engines
 // (the CI smoke tests diff it), and byte-identical to what a dsmd service
 // caches and serves for the same job.
 func writeJSON(w *os.File, cfg *machine.Config, policy ospage.Policy, run *exec.Result) error {
@@ -353,7 +319,7 @@ func writeJSON(w *os.File, cfg *machine.Config, policy ospage.Policy, run *exec.
 // result document. The request mirrors the local defaults exactly
 // (O3, runtime checks on), so the service's document is byte-identical to
 // a local -json run of the same flags.
-func runRemote(base, machName string, procs int, policy, redist, engine, tier string, jsonOut bool, args []string) {
+func runRemote(base, machName string, procs int, policy, engine string, jsonOut bool, args []string) {
 	srcs := map[string]string{}
 	for _, a := range args {
 		if strings.HasSuffix(a, ".img") {
@@ -369,9 +335,7 @@ func runRemote(base, machName string, procs int, policy, redist, engine, tier st
 		Machine: machName,
 		Procs:   procs,
 		Policy:  policy,
-		Redist:  redist,
 		Engine:  engine,
-		Tier:    tier,
 	})
 	die(err)
 

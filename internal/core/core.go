@@ -27,7 +27,6 @@ import (
 	"dsmdist/internal/machine"
 	"dsmdist/internal/obj"
 	"dsmdist/internal/obs"
-	"dsmdist/internal/ospage"
 	"dsmdist/internal/rtl"
 	"dsmdist/internal/xform"
 )
@@ -117,35 +116,11 @@ func (tc *Toolchain) build(sources map[string]string) (*link.Image, error) {
 }
 
 // RunOptions configure execution.
-type RunOptions struct {
-	Policy  ospage.Policy
-	Quantum int
-	// Recorder, when non-nil, observes the run (see internal/obs); nil
-	// keeps the simulation on the untraced fast path.
-	Recorder *obs.Recorder
-	// RedistSerial selects the legacy serial c$redistribute cost model
-	// instead of the scheduled collective (see exec.Options).
-	RedistSerial bool
-	// Engine selects the host execution engine (serial, parallel, auto);
-	// simulation results are bit-identical either way (see exec.Engine).
-	Engine exec.Engine
-	// Workers fixes the parallel engine's host goroutines per region; 0
-	// draws from the shared hostpool budget.
-	Workers int
-	// MaxQuanta raises the runaway-loop guard (0 keeps the default).
-	MaxQuanta int64
-	// Tier selects the bytecode execution tier (classic, compiled, auto);
-	// simulation results are bit-identical either way (see exec.Tier).
-	Tier exec.Tier
-}
+type RunOptions = exec.Options
 
 // Run executes an image on a machine configuration.
 func Run(img *link.Image, cfg *machine.Config, opts RunOptions) (*exec.Result, error) {
-	return exec.Run(img.Res, cfg, exec.Options{
-		Policy: opts.Policy, Quantum: opts.Quantum, Rec: opts.Recorder,
-		RedistSerial: opts.RedistSerial,
-		Engine:       opts.Engine, Workers: opts.Workers, MaxQuanta: opts.MaxQuanta,
-		Tier: opts.Tier})
+	return exec.Run(img.Res, cfg, opts)
 }
 
 // Array extracts an array's logical contents from a finished run. Unit is

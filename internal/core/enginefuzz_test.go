@@ -122,7 +122,7 @@ func fuzzRunMem(t *testing.T, src string, np int, eng exec.Engine, memrun string
 }
 
 // fuzzRunTier is fuzzRun with an explicit execution tier (the tier fuzz
-// harness pins both tiers; TierAuto defers to DSM_TIER/default).
+// harness pins both tiers; TierAuto is the compiled tier).
 func fuzzRunTier(t *testing.T, src string, np int, eng exec.Engine, tier exec.Tier) (*exec.Result, []byte, [][]float64) {
 	t.Helper()
 	tc := New()
@@ -134,7 +134,7 @@ func fuzzRunTier(t *testing.T, src string, np int, eng exec.Engine, tier exec.Ti
 	cfg := machine.Tiny(np)
 	rec := obs.NewRecorder(cfg)
 	res, err := Run(image, cfg, RunOptions{
-		Policy: ospage.FirstTouch, Recorder: rec, Engine: eng, Workers: 4, Tier: tier})
+		Policy: ospage.FirstTouch, Rec: rec, Engine: eng, Workers: 4, Tier: tier})
 	if err != nil {
 		t.Fatalf("%v engine %v tier P=%d: %v\n%s", eng, tier, np, err, src)
 	}

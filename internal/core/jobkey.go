@@ -45,8 +45,6 @@ type JobSpec struct {
 	// executor's default; 0 and the literal default are distinct keys, so
 	// keep 0 unless you mean to override).
 	Quantum int
-	// RedistSerial selects the legacy serial c$redistribute cost model.
-	RedistSerial bool
 }
 
 // CompileKey digests a source set and the compile-relevant options into the
@@ -77,9 +75,13 @@ func CompileKey(sources map[string]string, opt xform.Options, runtimeChecks bool
 // count computes them. The derivation is frozen; see JobKeyVersion.
 func JobKey(s JobSpec) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "dsmjob/v%d|compile=%s|machine=%s|procs=%d|policy=%s|quantum=%d|redist-serial=%v",
+	// "redist-serial=false" is the value of a spec field that no longer
+	// exists (every job runs the scheduled c$redistribute model). The
+	// literal keeps every persisted digest valid; it leaves at the next
+	// JobKeyVersion bump, not before.
+	fmt.Fprintf(h, "dsmjob/v%d|compile=%s|machine=%s|procs=%d|policy=%s|quantum=%d|redist-serial=false",
 		JobKeyVersion,
 		CompileKey(s.Sources, s.Opt, s.RuntimeChecks),
-		s.Machine, s.Procs, s.Policy, s.Quantum, s.RedistSerial)
+		s.Machine, s.Procs, s.Policy, s.Quantum)
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -28,7 +28,6 @@ func goldenSpec() JobSpec {
 		Procs:         16,
 		Policy:        ospage.FirstTouch,
 		Quantum:       0,
-		RedistSerial:  false,
 	}
 }
 
@@ -79,7 +78,6 @@ func TestJobKeySensitivity(t *testing.T) {
 		"procs":          func(s *JobSpec) { s.Procs = 32 },
 		"policy":         func(s *JobSpec) { s.Policy = ospage.RoundRobin },
 		"quantum":        func(s *JobSpec) { s.Quantum = 4000 },
-		"redist model":   func(s *JobSpec) { s.RedistSerial = true },
 	}
 	for name, mutate := range mutations {
 		s := goldenSpec()

@@ -94,7 +94,7 @@ c$redistribute a(block, *)
 	cfg := machine.Scaled(4)
 	rec := obs.NewRecorder(cfg)
 	rec.EnableTrace(0)
-	if _, err := Run(img, cfg, RunOptions{Policy: ospage.FirstTouch, Recorder: rec}); err != nil {
+	if _, err := Run(img, cfg, RunOptions{Policy: ospage.FirstTouch, Rec: rec}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -137,7 +137,7 @@ c$redistribute a(block, *)
 
 func TestScheduledRedistributeBeatsSerial(t *testing.T) {
 	// Acceptance: the scheduled collective's modeled redistribute cycles
-	// drop versus -redist=serial and vary with P rather than staying
+	// drop versus the serial model and vary with P rather than staying
 	// flat. Compared at P >= 4 on the scaled machine — below one full
 	// node there is no inter-node motion and both models are ~free.
 	src := workloads.Redistribute(64, 2, "(*, block)", "(block, *)")
@@ -149,7 +149,7 @@ func TestScheduledRedistributeBeatsSerial(t *testing.T) {
 			cfg := machine.Scaled(p)
 			rec := obs.NewRecorder(cfg)
 			_, err := Run(img, cfg, RunOptions{
-				Policy: ospage.FirstTouch, Recorder: rec, RedistSerial: mode})
+				Policy: ospage.FirstTouch, Rec: rec, RedistSerial: mode})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -183,7 +183,7 @@ func TestScheduledRedistributeBeatsSerial(t *testing.T) {
 
 func TestRedistModeIdenticalWithoutRedistribute(t *testing.T) {
 	// A program with no c$redistribute must be cycle-bit-identical under
-	// both cost models: the -redist flag may only affect redistributes.
+	// both cost models: RedistSerial may only affect redistributes.
 	src := `
       program p
       integer n

@@ -32,7 +32,7 @@ func seriesRun(t *testing.T, src string, np int, eng exec.Engine) [][]byte {
 	rec := obs.NewRecorder(cfg)
 	rec.EnableSeries(20000, nil)
 	if _, err := Run(image, cfg, RunOptions{
-		Policy: ospage.FirstTouch, Recorder: rec, Engine: eng, Workers: 4}); err != nil {
+		Policy: ospage.FirstTouch, Rec: rec, Engine: eng, Workers: 4}); err != nil {
 		t.Fatalf("%v engine P=%d: %v\n%s", eng, np, err, src)
 	}
 	rows := rec.SeriesRows()

@@ -2,9 +2,11 @@
 // paper "Data Distribution Support on Distributed Shared Memory
 // Multiprocessors": the block / cyclic / cyclic(k) / * distribution
 // specifiers (paper §3.2), the owner and local-offset transforms of Table 1,
-// the affinity-scheduling loop bounds of Figure 2, the onto-clause processor
-// grid assignment, and the portion-traversal intrinsics of the runtime
-// library.
+// the onto-clause processor grid assignment, the portion-traversal
+// intrinsics of the runtime library, and the ownership intersection and
+// round schedule behind c$redistribute. The affinity-scheduling loop bounds
+// of Figure 2 are not here: internal/xform emits them as IR (tile.go,
+// sched.go).
 //
 // All indices in this package are zero-based element indices within a single
 // array dimension. The Fortran front end converts its one-based subscripts

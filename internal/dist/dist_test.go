@@ -1,10 +1,6 @@
 package dist
 
-import (
-	"math/rand"
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func allKinds(n, p int) []DimMap {
 	return []DimMap{
@@ -129,142 +125,6 @@ func TestOwnedRangesMatchOwner(t *testing.T) {
 					if !s {
 						t.Fatalf("%v: element %d uncovered", m.Dim, i)
 					}
-				}
-			}
-		}
-	}
-}
-
-// TestAffineItersPartition is the key Figure 2 property: over all
-// processors, the affinity iteration sets partition the original loop, and
-// each iteration is assigned to the owner of its referenced element.
-func TestAffineItersPartition(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 300; trial++ {
-		n := 1 + rng.Intn(120)
-		p := 1 + rng.Intn(9)
-		a := 1 + rng.Intn(3)
-		lb := rng.Intn(10)
-		ub := lb + rng.Intn(40) - 5 // possibly empty
-		step := 1 + rng.Intn(3)
-		// choose c so that a*i + c stays within [0, n) for i in
-		// [lb, ub]; skip impossible combos.
-		maxE := a*ub + 0
-		if maxE >= n || ub < lb {
-			continue
-		}
-		c := rng.Intn(n - maxE)
-		for _, m := range allKinds(n, p) {
-			procs := m.P
-			if m.Kind == Star {
-				procs = 1
-			}
-			got := map[int]int{} // iteration -> proc
-			for q := 0; q < procs; q++ {
-				for _, r := range m.AffineIters(q, a, c, lb, ub, step) {
-					for i := r.Lo; i <= r.Hi; i += r.Step {
-						if prev, dup := got[i]; dup {
-							t.Fatalf("%v: iter %d on procs %d and %d", m.Dim, i, prev, q)
-						}
-						got[i] = q
-						if (i-lb)%step != 0 || i < lb || i > ub {
-							t.Fatalf("%v: iter %d outside do %d,%d,%d", m.Dim, i, lb, ub, step)
-						}
-						if own := m.Owner(a*i + c); own != q {
-							t.Fatalf("%v: iter %d (elem %d) ran on %d, owner %d",
-								m.Dim, i, a*i+c, q, own)
-						}
-					}
-				}
-			}
-			want := 0
-			for i := lb; i <= ub; i += step {
-				want++
-				if _, ok := got[i]; !ok {
-					t.Fatalf("%v n=%d p=%d a=%d c=%d: iter %d unassigned", m.Dim, n, p, a, c, i)
-				}
-			}
-			if len(got) != want {
-				t.Fatalf("%v: %d iters assigned, want %d", m.Dim, len(got), want)
-			}
-		}
-	}
-}
-
-func TestBlockPartitionCovers(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		lb := rng.Intn(20) - 10
-		n := rng.Intn(50)
-		step := 1 + rng.Intn(4)
-		ub := lb + (n-1)*step
-		np := 1 + rng.Intn(10)
-		seen := map[int]bool{}
-		total := 0
-		for p := 0; p < np; p++ {
-			r := BlockPartition(p, np, lb, ub, step)
-			for i := r.Lo; i <= r.Hi; i += r.Step {
-				if seen[i] {
-					return false
-				}
-				seen[i] = true
-				total++
-			}
-		}
-		want := 0
-		for i := lb; i <= ub; i += step {
-			want++
-			if !seen[i] {
-				return false
-			}
-		}
-		return total == want
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBlockPartitionBalance(t *testing.T) {
-	// piece sizes differ by at most 1
-	for np := 1; np <= 9; np++ {
-		for n := 0; n <= 30; n++ {
-			lo, hi := 1, n
-			min, max := 1<<30, 0
-			for p := 0; p < np; p++ {
-				c := BlockPartition(p, np, lo, hi, 1).Count()
-				if c < min {
-					min = c
-				}
-				if c > max {
-					max = c
-				}
-			}
-			if n > 0 && max-min > 1 {
-				t.Fatalf("np=%d n=%d: piece sizes range %d..%d", np, n, min, max)
-			}
-		}
-	}
-}
-
-func TestInterleavePartitionCovers(t *testing.T) {
-	for _, chunk := range []int{1, 2, 5} {
-		for np := 1; np <= 6; np++ {
-			seen := map[int]int{}
-			lb, ub, step := 3, 40, 2
-			for p := 0; p < np; p++ {
-				for _, r := range InterleavePartition(p, np, lb, ub, step, chunk) {
-					for i := r.Lo; i <= r.Hi; i += r.Step {
-						if q, dup := seen[i]; dup {
-							t.Fatalf("chunk=%d np=%d: iter %d on %d and %d", chunk, np, i, q, p)
-						}
-						seen[i] = p
-					}
-				}
-			}
-			for i := lb; i <= ub; i += step {
-				if _, ok := seen[i]; !ok {
-					t.Fatalf("chunk=%d np=%d: iter %d missing", chunk, np, i)
 				}
 			}
 		}

@@ -6,8 +6,8 @@ import (
 	"testing/quick"
 )
 
-// Randomized property tests (testing/quick) for the Table 1 / Figure 2
-// mathematics, complementing the exhaustive small-case tests in
+// Randomized property tests (testing/quick) for the Table 1 mathematics
+// and the onto-clause grid, complementing the exhaustive small-case tests in
 // dist_test.go.
 
 func randMap(rng *rand.Rand) DimMap {
@@ -63,52 +63,6 @@ func TestQuickPortionPartition(t *testing.T) {
 			total += m.PortionLen(p)
 		}
 		return total == m.N
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: the Figure 2 affinity iteration sets partition any loop whose
-// referenced elements stay in range.
-func TestQuickAffinityPartition(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		m := randMap(rng)
-		a := 1 + rng.Intn(3)
-		lb := 1
-		// Choose ub and c so a*i + c stays within [0, N).
-		maxI := (m.N - 1) / a
-		if maxI < lb {
-			return true
-		}
-		ub := lb + rng.Intn(maxI-lb+1)
-		c := rng.Intn(m.N - a*ub)
-		step := 1 + rng.Intn(2)
-
-		procs := m.P
-		if m.Kind == Star {
-			procs = 1
-		}
-		seen := map[int]bool{}
-		for p := 0; p < procs; p++ {
-			for _, r := range m.AffineIters(p, a, c, lb, ub, step) {
-				for i := r.Lo; i <= r.Hi; i += r.Step {
-					if seen[i] || m.Owner(a*i+c) != p {
-						return false
-					}
-					seen[i] = true
-				}
-			}
-		}
-		want := 0
-		for i := lb; i <= ub; i += step {
-			want++
-			if !seen[i] {
-				return false
-			}
-		}
-		return len(seen) == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

@@ -38,9 +38,10 @@ type Options struct {
 	// Rec, when non-nil, receives observability events from the whole
 	// stack (load-time placement, memory system, regions, barriers).
 	Rec *obs.Recorder
-	// RedistSerial runs c$redistribute under the legacy serial cost model
-	// (a page walk charged to the calling processor) instead of the
-	// scheduled bulk-transfer collective — the -redist=serial A/B switch.
+	// RedistSerial runs c$redistribute under the serial page-walk cost
+	// model instead of the scheduled collective. A reference, not an
+	// option: only experiments.Redist (dsmbench -exp redist, the A/B
+	// EXPERIMENTS.md reports) and the redistribute tests set it.
 	RedistSerial bool
 	// Engine selects the host execution engine (serial, parallel, auto).
 	// Results are bit-identical either way; see Engine.
@@ -50,8 +51,8 @@ type Options struct {
 	// budget each region, cooperating with experiments.ForEach; the
 	// DSM_WORKERS environment variable fills an unset value.
 	Workers int
-	// Tier selects the bytecode execution tier (classic, compiled, auto).
-	// Results are bit-identical either way; see Tier.
+	// Tier pins the bytecode interpreter for identity tests and bench/'s
+	// oracle; everything else leaves it zero (compiled). See Tier.
 	Tier Tier
 }
 
@@ -76,8 +77,8 @@ type Result struct {
 	// EngineUsed is the engine that actually ran (after auto/env
 	// resolution); diagnostics only.
 	EngineUsed Engine
-	// TierUsed is the execution tier that actually ran (after auto/env
-	// resolution); diagnostics only.
+	// TierUsed is the execution tier that actually ran (Options.Tier
+	// resolved); diagnostics only.
 	TierUsed Tier
 	// EpochsCommitted / EpochsFallback count the parallel engine's
 	// speculative epochs that published vs. re-ran serially;
@@ -137,7 +138,7 @@ func RunLoaded(rt *rtl.Runtime, opts Options) (*Result, error) {
 		maxQuanta = 1 << 34
 	}
 	engine := resolveEngine(opts.Engine, cfg.NProcs)
-	tier := resolveTier(opts.Tier)
+	tier := opts.Tier.Resolve()
 	workers := resolveWorkers(opts.Workers)
 	gov := governor{}
 	costs := bytecode.NewCosts(cfg)

@@ -1,44 +1,27 @@
 package exec
 
-import (
-	"fmt"
-	"os"
-)
-
-// Tier selects which bytecode execution tier interprets the program on
-// the host: the classic switch-dispatch interpreter or the block-compiled
-// fused-closure tier (internal/bytecode compile.go/compiled.go).
+// Tier names one of the two bytecode interpreters: the classic
+// switch-dispatch loop or the block-compiled fused-closure translation
+// (internal/bytecode compile.go/compiled.go).
 //
-// Both tiers are bit-identical in simulated behavior — every charged
-// cycle, stat counter, trap message, and quantum break point is the same;
-// only host wall time differs. The tier axis is orthogonal to the Engine
-// axis: any tier composes with any engine, including the parallel
-// engine's speculative scout replays.
+// It is a reference selector, not a run-time choice. Every run a user, a
+// dsmd job or a sweep makes executes on the compiled tier; no flag,
+// environment variable or request field reaches this type. The classic
+// interpreter stays as the in-process reference that core's identity
+// fuzzers (TestTierFuzzClassicVsCompiled, TestEngineFuzzSerialVsParallel)
+// and bench/'s oracle pin through Options.Tier, and as the member list the
+// compiled tier replays for exact mid-span traps. Both are
+// bit-identical in simulated behavior — every charged cycle, stat counter,
+// trap message and quantum break point — and compose with either Engine.
 type Tier int
 
 const (
-	// TierAuto resolves to the compiled tier (it is a strict win once a
-	// program runs more than a handful of quanta). The DSM_TIER
-	// environment variable (classic|compiled|auto) overrides Auto — but
-	// never an explicit Options.Tier — so CI can force a tier across an
-	// existing test suite.
+	// TierAuto is the zero value every production caller leaves in place;
+	// it resolves to the compiled tier.
 	TierAuto Tier = iota
 	TierClassic
 	TierCompiled
 )
-
-// ParseTier parses a -tier flag value.
-func ParseTier(s string) (Tier, error) {
-	switch s {
-	case "auto", "":
-		return TierAuto, nil
-	case "classic":
-		return TierClassic, nil
-	case "compiled":
-		return TierCompiled, nil
-	}
-	return TierAuto, fmt.Errorf("unknown tier %q (accepted: classic, compiled, auto)", s)
-}
 
 func (t Tier) String() string {
 	switch t {
@@ -50,23 +33,12 @@ func (t Tier) String() string {
 	return "auto"
 }
 
-// Resolve applies the DSM_TIER override and the auto rule, yielding the
-// tier a run with this setting actually executes on. Callers that record
-// host-performance measurements (bench/) use it to note the tier the
+// Resolve yields the tier a run with this setting executes on: auto is
+// compiled, a pinned tier is itself. bench/ uses it to note the tier its
 // numbers were taken under.
-func (t Tier) Resolve() Tier { return resolveTier(t) }
-
-// resolveTier applies the DSM_TIER override and the auto rule.
-func resolveTier(t Tier) Tier {
+func (t Tier) Resolve() Tier {
 	if t == TierAuto {
-		if env := os.Getenv("DSM_TIER"); env != "" {
-			if pt, err := ParseTier(env); err == nil {
-				t = pt
-			}
-		}
-	}
-	if t == TierAuto {
-		t = TierCompiled
+		return TierCompiled
 	}
 	return t
 }

@@ -57,8 +57,9 @@ type Sizes struct {
 	// Engine selects the host execution engine for every point (see
 	// exec.Engine); rows are bit-identical across engines.
 	Engine exec.Engine
-	// Tier selects the bytecode execution tier for every point (see
-	// exec.Tier); rows are bit-identical across tiers.
+	// Tier pins the bytecode interpreter for every point. No command
+	// sets it; bench/ does, to take its sweeps on a stated tier (see
+	// exec.Tier). Rows are bit-identical across tiers.
 	Tier exec.Tier
 	// Progress, when non-nil, receives a live progress line per sweep
 	// (points done/total, compile-cache hits, ETA) and an early report of

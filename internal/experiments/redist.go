@@ -39,9 +39,10 @@ const redistIters = 2
 
 // Redist sweeps the redistribution engine: for each array size, spec pair
 // and processor count, one run under the scheduled collective and one under
-// -redist=serial. Rows carry the timed-section cycles plus the recorder's
-// RedistCyc attribution; Speedup is serial-model cycles over
-// scheduled-model cycles at the same point.
+// the serial page-walk reference (exec.Options.RedistSerial — this sweep is
+// the only non-test caller that sets it). Rows carry the timed-section
+// cycles plus the recorder's RedistCyc attribution; Speedup is serial-model
+// cycles over scheduled-model cycles at the same point.
 func Redist(s Sizes) ([]Row, error) {
 	if s.Remote != nil {
 		return nil, fmt.Errorf("redist: not runnable via -remote (RedistCyc needs a local recorder attached to the run)")
@@ -88,7 +89,7 @@ func Redist(s Sizes) ([]Row, error) {
 			return fmt.Errorf("redist n=%d %s: %w", pt.n, pt.pair.Label, err)
 		}
 		res, err := core.Run(img, cfg, core.RunOptions{
-			Policy: ospage.FirstTouch, Recorder: rec,
+			Policy: ospage.FirstTouch, Rec: rec,
 			RedistSerial: modes[pt.mode].serial, Engine: s.Engine, Tier: s.Tier})
 		if err != nil {
 			return fmt.Errorf("redist n=%d %s %s P=%d: %w",

@@ -200,3 +200,17 @@ func Tiny(nprocs int) *Config {
 	c.TLBEntries = 8
 	return c
 }
+
+// Preset maps a -machine / request spelling to the constructor of that
+// stock configuration.
+func Preset(name string) (func(nprocs int) *Config, error) {
+	switch name {
+	case "origin2000":
+		return Origin2000, nil
+	case "scaled":
+		return Scaled, nil
+	case "tiny":
+		return Tiny, nil
+	}
+	return nil, fmt.Errorf("unknown machine %q (accepted: origin2000, scaled, tiny)", name)
+}

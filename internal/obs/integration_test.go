@@ -42,7 +42,7 @@ func runWithRecorder(t *testing.T, src string, cfg *machine.Config,
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
-	res, err := core.Run(img, cfg, core.RunOptions{Policy: policy, Recorder: rec})
+	res, err := core.Run(img, cfg, core.RunOptions{Policy: policy, Rec: rec})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -263,7 +263,7 @@ func TestRecorderDoesNotPerturbSimulation(t *testing.T) {
 			t.Fatalf("%v build: %v", eng, err)
 		}
 		res, err := core.Run(img, cfg, core.RunOptions{
-			Policy: ospage.FirstTouch, Recorder: srec, Engine: eng, Workers: 4})
+			Policy: ospage.FirstTouch, Rec: srec, Engine: eng, Workers: 4})
 		if err != nil {
 			t.Fatalf("%v run: %v", eng, err)
 		}

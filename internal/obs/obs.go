@@ -619,8 +619,8 @@ func (r *Recorder) PageMigrated(vpage int64, from, to int) {
 // --- rtl hooks ---
 
 // Redistribute records a c$redistribute call: the array, pages moved and
-// the cycle span the collective (or the serial page walk, under
-// -redist=serial) occupied. The span is folded into the current region's
+// the cycle span the collective (or the serial reference model's page
+// walk) occupied. The span is folded into the current region's
 // RedistCyc so profiles report redistribution as its own cycle category
 // instead of undifferentiated compute.
 func (r *Recorder) Redistribute(array string, pages int, proc int, start, end int64) {

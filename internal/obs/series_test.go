@@ -27,7 +27,7 @@ func runWithSeries(t *testing.T, src string, cfg *machine.Config, interval int64
 		t.Fatalf("build: %v", err)
 	}
 	if _, err := core.Run(img, cfg, core.RunOptions{
-		Policy: ospage.FirstTouch, Recorder: rec}); err != nil {
+		Policy: ospage.FirstTouch, Rec: rec}); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	return rec

@@ -50,7 +50,7 @@ func TestLiveServerEndpoints(t *testing.T) {
 		t.Fatalf("build: %v", err)
 	}
 	if _, err := core.Run(img, cfg, core.RunOptions{
-		Policy: ospage.FirstTouch, Recorder: rec}); err != nil {
+		Policy: ospage.FirstTouch, Rec: rec}); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 

@@ -83,9 +83,10 @@ type Runtime struct {
 	// RedistPages counts pages moved by redistribute calls.
 	RedistPages int64
 
-	// RedistSerial selects the legacy serial redistribute cost model (a
-	// page walk charged to the calling processor only) instead of the
-	// scheduled collective — the -redist=serial A/B escape hatch.
+	// RedistSerial selects the serial redistribute cost model (a page
+	// walk charged to the calling processor only) instead of the
+	// scheduled collective. It is the reference the scheduled model is
+	// measured against (see exec.Options.RedistSerial), not an option.
 	RedistSerial bool
 
 	// Region-of-interest timer (dsm_timer_start/stop). The timer is

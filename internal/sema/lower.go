@@ -160,14 +160,16 @@ func (a *analyzer) lowerStmt(out []ir.Stmt, s fortran.Stmt) []ir.Stmt {
 				x.Array, len(x.Dims), len(sym.Dims))
 			return out
 		}
-		spec := a.lowerDistDims(x.Dims, x.Line)
+		spec := a.lowerDistDims(x.Array, x.Dims, x.Line)
 		sym.Redistributed = true
 		return append(out, &ir.Redist{Sym: sym, Spec: spec, Line: x.Line})
 	}
 	return out
 }
 
-func (a *analyzer) lowerDistDims(dims []fortran.DistDim, line int) dist.Spec {
+// lowerDistDims turns the per-dimension specifiers of a c$distribute,
+// c$distribute_reshape or c$redistribute on array into a dist.Spec.
+func (a *analyzer) lowerDistDims(array string, dims []fortran.DistDim, line int) dist.Spec {
 	spec := dist.Spec{Dims: make([]dist.Dim, len(dims))}
 	for i, sd := range dims {
 		switch sd.Kind {
@@ -181,7 +183,7 @@ func (a *analyzer) lowerDistDims(dims []fortran.DistDim, line int) dist.Spec {
 			spec.Dims[i].Kind = dist.BlockCyclic
 			cv, ok := a.evalConst(sd.Chunk)
 			if !ok || !cv.isInt || cv.i <= 0 {
-				a.errorf(line, "cyclic chunk must be a positive integer constant")
+				a.errorf(line, "cyclic chunk for %s dim %d must be a positive integer constant", array, i+1)
 				spec.Dims[i].Chunk = 1
 			} else {
 				spec.Dims[i].Chunk = int(cv.i)

@@ -349,26 +349,8 @@ func (a *analyzer) applyDistribute(dd *fortran.DistDecl) {
 		a.errorf(dd.Line, "%s already has a distribution (%s)", dd.Array, s.Dist)
 		return
 	}
-	spec := dist.Spec{Reshape: dd.Reshape, Dims: make([]dist.Dim, len(dd.Dims))}
-	for i, sd := range dd.Dims {
-		switch sd.Kind {
-		case fortran.DStar:
-			spec.Dims[i].Kind = dist.Star
-		case fortran.DBlock:
-			spec.Dims[i].Kind = dist.Block
-		case fortran.DCyclic:
-			spec.Dims[i].Kind = dist.Cyclic
-		case fortran.DCyclicExpr:
-			spec.Dims[i].Kind = dist.BlockCyclic
-			cv, ok := a.evalConst(sd.Chunk)
-			if !ok || !cv.isInt || cv.i <= 0 {
-				a.errorf(dd.Line, "cyclic chunk for %s dim %d must be a positive integer constant", dd.Array, i+1)
-				spec.Dims[i].Chunk = 1
-			} else {
-				spec.Dims[i].Chunk = int(cv.i)
-			}
-		}
-	}
+	spec := a.lowerDistDims(dd.Array, dd.Dims, dd.Line)
+	spec.Reshape = dd.Reshape
 	dd2 := spec.DistributedDims()
 	if len(dd.Onto) > 0 {
 		if len(dd.Onto) != len(dd2) {

@@ -165,6 +165,21 @@ c$distribute a(block)
 c$distribute_reshape a(cyclic)
       end
 `, "already has a distribution")
+	// One lowering serves c$distribute and c$redistribute, so both name
+	// the array and dimension of a bad chunk.
+	analyzeErr(t, `
+      program p
+      real*8 a(10, 10)
+c$distribute a(*, cyclic(0))
+      end
+`, "cyclic chunk for a dim 2")
+	analyzeErr(t, `
+      program p
+      real*8 a(10, 10)
+c$distribute a(block, *)
+c$redistribute a(*, cyclic(0))
+      end
+`, "cyclic chunk for a dim 2")
 }
 
 func TestEquivalenceReshapeRejected(t *testing.T) {

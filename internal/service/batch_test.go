@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -289,5 +290,39 @@ func TestOversizedBodyRejected(t *testing.T) {
 	}
 	if st := srv.ServerStats(); st.Jobs != 0 {
 		t.Errorf("an oversized request was admitted: %+v", st)
+	}
+}
+
+// TestUnknownRequestFieldRejected: a misspelt field ("proc") or a retired
+// one ("redist", "tier") is a 400 naming the field on both POST /jobs and
+// POST /batch — never a silently defaulted job cached under the key of the
+// request the client meant to send.
+func TestUnknownRequestFieldRejected(t *testing.T) {
+	srv := New(Options{
+		runJob: func(j *Job) ([]byte, error) { return []byte(`{"v":1}`), nil },
+	})
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	before := srv.ServerStats()
+	for field, value := range map[string]string{"proc": `16`, "redist": `"serial"`, "tier": `"classic"`} {
+		job := fmt.Sprintf(`{"sources":{"x.f":"p"},"machine":"tiny",%q:%s}`, field, value)
+		for path, body := range map[string]string{
+			"/jobs":  job,
+			"/batch": `{"jobs":[` + job + `]}`,
+		} {
+			resp, err := http.Post(hs.URL+path, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			msg, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), field) {
+				t.Errorf("POST %s with field %q: status %d body %s, want 400 naming the field",
+					path, field, resp.StatusCode, msg)
+			}
+		}
+	}
+	if st := srv.ServerStats(); st != before {
+		t.Errorf("a request with an unknown field changed the server: %+v, was %+v", st, before)
 	}
 }

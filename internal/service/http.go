@@ -65,9 +65,14 @@ func writeError(w http.ResponseWriter, status int, err error) {
 const maxRequestBytes = 16 << 20
 
 // decodeBody reads a size-limited JSON request body into v, answering 413
-// (body over maxRequestBytes) or 400 (malformed) itself when it fails.
+// (body over maxRequestBytes) or 400 (malformed, or naming a field the
+// request type lacks) itself when it fails. Unknown fields are refused
+// because a misspelt or retired one would otherwise simulate — and cache
+// under the job's key — something other than what the client asked for.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(v)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
 	if err == nil {
 		return true
 	}

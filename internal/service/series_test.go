@@ -78,12 +78,10 @@ func TestSeriesEndpointMatchesLocalRun(t *testing.T) {
 	var local bytes.Buffer
 	rec.EnableSeries(spec.sample, &local)
 	if _, err := core.Run(img, cfg, core.RunOptions{
-		Policy:       spec.Policy,
-		Quantum:      spec.Quantum,
-		RedistSerial: spec.RedistSerial,
-		Engine:       spec.engine,
-		Tier:         spec.tier,
-		Recorder:     rec,
+		Policy:  spec.Policy,
+		Quantum: spec.Quantum,
+		Engine:  spec.engine,
+		Rec:     rec,
 	}); err != nil {
 		t.Fatal(err)
 	}

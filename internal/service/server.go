@@ -77,21 +77,16 @@ type JobRequest struct {
 	RuntimeChecks *bool `json:"runtime_checks,omitempty"`
 	// Quantum overrides the interleave granularity (0 = default).
 	Quantum int `json:"quantum,omitempty"`
-	// Redist is the c$redistribute model: scheduled | serial
-	// (default scheduled).
-	Redist string `json:"redist,omitempty"`
-	// Engine and Tier pick the host execution engine/tier (default auto).
-	// They are NOT part of the cache key: results are bit-identical
-	// across all of them.
+	// Engine picks the host execution engine (default auto). It is NOT
+	// part of the cache key: results are bit-identical across engines.
 	Engine string `json:"engine,omitempty"`
-	Tier   string `json:"tier,omitempty"`
 	// Tenant attributes the job for per-tenant concurrency limiting
 	// (default "default").
 	Tenant string `json:"tenant,omitempty"`
 	// Sample sets the live-series sampling interval in simulated cycles
-	// (0 = the obs default). Host-side observability only: like Engine and
-	// Tier it is NOT part of the cache key, and a submission served from
-	// the result cache has no series of its own.
+	// (0 = the obs default). Host-side observability only: like Engine it
+	// is NOT part of the cache key, and a submission served from the
+	// result cache has no series of its own.
 	Sample int64 `json:"sample,omitempty"`
 	// NoWait makes POST /jobs return immediately with the queued job
 	// instead of blocking until it finishes.
@@ -103,7 +98,6 @@ type JobRequest struct {
 type jobSpec struct {
 	core.JobSpec
 	engine exec.Engine
-	tier   exec.Tier
 	sample int64
 	mach   func(int) *machine.Config
 }
@@ -242,19 +236,10 @@ func validate(req *JobRequest) (jobSpec, error) {
 	if len(req.Sources) == 0 {
 		return spec, fmt.Errorf("service: job has no sources")
 	}
-	machName := req.Machine
-	if machName == "" {
-		machName = "scaled"
-	}
-	switch machName {
-	case "origin2000":
-		spec.mach = machine.Origin2000
-	case "scaled":
-		spec.mach = machine.Scaled
-	case "tiny":
-		spec.mach = machine.Tiny
-	default:
-		return spec, fmt.Errorf("service: unknown machine %q (accepted: origin2000, scaled, tiny)", machName)
+	machName := orDefault(req.Machine, "scaled")
+	var err error
+	if spec.mach, err = machine.Preset(machName); err != nil {
+		return spec, fmt.Errorf("service: %w", err)
 	}
 	procs := req.Procs
 	if procs == 0 {
@@ -280,19 +265,7 @@ func validate(req *JobRequest) (jobSpec, error) {
 	default:
 		return spec, fmt.Errorf("service: unknown opt level %q (accepted: O0, O1, O2, O3)", req.Opt)
 	}
-	var redistSerial bool
-	switch orDefault(req.Redist, "scheduled") {
-	case "scheduled":
-	case "serial":
-		redistSerial = true
-	default:
-		return spec, fmt.Errorf("service: unknown redist model %q (accepted: scheduled, serial)", req.Redist)
-	}
 	engine, err := exec.ParseEngine(orDefault(req.Engine, "auto"))
-	if err != nil {
-		return spec, fmt.Errorf("service: %w", err)
-	}
-	tier, err := exec.ParseTier(orDefault(req.Tier, "auto"))
 	if err != nil {
 		return spec, fmt.Errorf("service: %w", err)
 	}
@@ -315,9 +288,8 @@ func validate(req *JobRequest) (jobSpec, error) {
 		Procs:         procs,
 		Policy:        policy,
 		Quantum:       req.Quantum,
-		RedistSerial:  redistSerial,
 	}
-	spec.engine, spec.tier = engine, tier
+	spec.engine = engine
 	spec.sample = req.Sample
 	return spec, nil
 }
@@ -582,12 +554,10 @@ func (s *Server) simulate(j *Job) ([]byte, error) {
 	s.mu.Unlock()
 
 	run, err := core.Run(img, cfg, core.RunOptions{
-		Policy:       j.spec.Policy,
-		Quantum:      j.spec.Quantum,
-		RedistSerial: j.spec.RedistSerial,
-		Engine:       j.spec.engine,
-		Tier:         j.spec.tier,
-		Recorder:     rec,
+		Policy:  j.spec.Policy,
+		Quantum: j.spec.Quantum,
+		Engine:  j.spec.engine,
+		Rec:     rec,
 	})
 	if err != nil {
 		return nil, err
