@@ -13,7 +13,6 @@
 package main
 
 import (
-	"encoding/gob"
 	"flag"
 	"fmt"
 	"os"
@@ -21,6 +20,7 @@ import (
 	"strings"
 
 	"dsmdist/internal/bytecode"
+	"dsmdist/internal/codegen"
 	"dsmdist/internal/core"
 	"dsmdist/internal/ir"
 	"dsmdist/internal/link"
@@ -110,14 +110,14 @@ func main() {
 	}
 }
 
-// writeImage serializes a linked image with gob.
+// writeImage serializes a linked image.
 func writeImage(path string, img *link.Image) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	return gob.NewEncoder(f).Encode(img.Res)
+	return codegen.EncodeImage(f, img.Res)
 }
 
 func die(err error) {

@@ -39,7 +39,6 @@
 package main
 
 import (
-	"encoding/gob"
 	"flag"
 	"fmt"
 	"io"
@@ -152,8 +151,8 @@ func main() {
 	if strings.HasSuffix(flag.Arg(0), ".img") {
 		f, err := os.Open(flag.Arg(0))
 		die(err)
-		res = &codegen.Result{}
-		die(gob.NewDecoder(f).Decode(res))
+		res, err = codegen.DecodeImage(f)
+		die(err)
 		f.Close()
 		rec.SetMeta("sources", flag.Arg(0))
 	} else {

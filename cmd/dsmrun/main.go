@@ -55,7 +55,6 @@
 package main
 
 import (
-	"encoding/gob"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -201,8 +200,8 @@ func main() {
 	if strings.HasSuffix(flag.Arg(0), ".img") {
 		f, err := os.Open(flag.Arg(0))
 		die(err)
-		res = &codegen.Result{}
-		die(gob.NewDecoder(f).Decode(res))
+		res, err = codegen.DecodeImage(f)
+		die(err)
 		f.Close()
 	} else {
 		tc := core.New()

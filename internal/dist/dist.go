@@ -168,11 +168,29 @@ func BlockSize(n, p int) int {
 // DimMap is a Dim instantiated for a concrete dimension extent and processor
 // count; it answers the Table 1 questions: which processor owns element i,
 // and at which offset within that processor's portion.
+//
+// Every specifier is held in one normal form, chunks of K elements dealt
+// round-robin over P processors, and the methods below are the cyclic(k) row
+// of Table 1 evaluated at K:
+//
+//	spec       K                    owner        offset
+//	"*"        max(N,1), P = 1      0            i
+//	block      ceil(N/P)            i/K          i mod K
+//	cyclic     1                    i mod P      i/P
+//	cyclic(k)  min(k, max(N,1))     (i/K) mod P  (i/(K*P))*K + i mod K
+//
+// The block row is the cyclic(k) row confined to its first round (i < K*P),
+// the cyclic row is the cyclic(k) row with i mod 1 = 0, and "*" is one chunk
+// on one processor. A chunk larger than the extent owns what a chunk equal
+// to it owns, and clamping it keeps K*P representable. Kind stays for
+// consumers whose output depends on the specifier's shape rather than its
+// arithmetic: the closed forms internal/xform emits, and the descriptor
+// words and §6 clipping rule of internal/rtl.
 type DimMap struct {
 	Dim
 	N int // dimension extent
 	P int // processors assigned to this dimension (1 for Star)
-	B int // block size for Block kind (ceil(N/P)); 0 otherwise
+	K int // normal-form chunk: elements dealt to one processor at a time (>= 1)
 }
 
 // NewDimMap binds a dimension specifier to an extent and processor count.
@@ -180,162 +198,59 @@ func NewDimMap(d Dim, n, p int) DimMap {
 	if !d.Distributed() || p < 1 {
 		p = 1
 	}
-	m := DimMap{Dim: d, N: n, P: p}
-	if d.Kind == Block {
-		m.B = BlockSize(n, p)
+	k := 1 // Cyclic
+	switch d.Kind {
+	case Star:
+		k = n
+	case Block:
+		k = BlockSize(n, p)
+	case BlockCyclic:
+		k = min(d.Chunk, n)
 	}
-	return m
+	return DimMap{Dim: d, N: n, P: p, K: max(k, 1)}
 }
 
 // Owner returns the processor (within this dimension's processor axis) that
-// owns zero-based element i. This is the first row of Table 1:
-//
-//	block:      i / b
-//	cyclic:     i mod P
-//	cyclic(k):  (i/k) mod P
-func (m DimMap) Owner(i int) int {
-	switch m.Kind {
-	case Star:
-		return 0
-	case Block:
-		return i / m.B
-	case Cyclic:
-		return i % m.P
-	case BlockCyclic:
-		return (i / m.Chunk) % m.P
-	}
-	return 0
-}
+// owns zero-based element i: the first row of Table 1.
+func (m DimMap) Owner(i int) int { return (i / m.K) % m.P }
 
 // Offset returns the zero-based offset of element i within its owner's
-// portion. This is the second row of Table 1:
-//
-//	block:      i mod b
-//	cyclic:     i / P
-//	cyclic(k):  (i/(k*P))*k + i mod k
-func (m DimMap) Offset(i int) int {
-	switch m.Kind {
-	case Star:
-		return i
-	case Block:
-		return i % m.B
-	case Cyclic:
-		return i / m.P
-	case BlockCyclic:
-		return (i/(m.Chunk*m.P))*m.Chunk + i%m.Chunk
-	}
-	return i
-}
-
-// PortionLen returns the number of elements of the dimension owned by
-// processor p. The reshaped-array allocator sizes per-processor pools with
-// this (paper §4.3: portions are allocated independently, no padding to page
-// boundaries).
-func (m DimMap) PortionLen(p int) int {
-	switch m.Kind {
-	case Star:
-		return m.N
-	case Block:
-		lo := p * m.B
-		if lo >= m.N {
-			return 0
-		}
-		hi := lo + m.B
-		if hi > m.N {
-			hi = m.N
-		}
-		return hi - lo
-	case Cyclic:
-		if p >= m.N {
-			return 0
-		}
-		return (m.N - p + m.P - 1) / m.P
-	case BlockCyclic:
-		k := m.Chunk
-		full := m.N / (k * m.P) // complete rounds of P chunks
-		n := full * k
-		rem := m.N - full*k*m.P // elements in the final partial round
-		lo := p * k
-		if rem > lo {
-			extra := rem - lo
-			if extra > k {
-				extra = k
-			}
-			n += extra
-		}
-		return n
-	}
-	return 0
-}
-
-// MaxPortionLen returns the largest portion length over all processors; the
-// processor-array representation of a reshaped dimension uses this as its
-// per-processor stride when a uniform stride is required.
-func (m DimMap) MaxPortionLen() int {
-	switch m.Kind {
-	case Star:
-		return m.N
-	case Block:
-		return m.B
-	default:
-		return m.PortionLen(0)
-	}
-}
+// portion: the second row of Table 1.
+func (m DimMap) Offset(i int) int { return (i/(m.K*m.P))*m.K + i%m.K }
 
 // Global is the inverse of (Owner, Offset): it maps processor p and local
 // offset j back to the global element index. The runtime portion intrinsics
 // (paper §3.2.1 "a rich set of intrinsics for traversing the individual
 // portions") are built on it.
-func (m DimMap) Global(p, j int) int {
-	switch m.Kind {
-	case Star:
-		return j
-	case Block:
-		return p*m.B + j
-	case Cyclic:
-		return j*m.P + p
-	case BlockCyclic:
-		k := m.Chunk
-		return (j/k)*(k*m.P) + p*k + j%k
-	}
-	return j
+func (m DimMap) Global(p, j int) int { return (j/m.K)*(m.K*m.P) + p*m.K + j%m.K }
+
+// PortionLen returns the number of elements of the dimension owned by
+// processor p: K for every complete round of P chunks, plus p's share of the
+// final partial round. The reshaped-array allocator sizes per-processor pools
+// with this (paper §4.3: portions are allocated independently, no padding to
+// page boundaries).
+func (m DimMap) PortionLen(p int) int {
+	round := m.K * m.P
+	rem := m.N % round
+	return m.N/round*m.K + min(max(rem-p*m.K, 0), m.K)
 }
+
+// MaxPortionLen returns the largest portion length over all processors; the
+// processor-array representation of a reshaped dimension uses this as its
+// per-processor stride when a uniform stride is required. Processor 0 is
+// dealt first, so no portion is longer than its own.
+func (m DimMap) MaxPortionLen() int { return m.PortionLen(0) }
 
 // Range is a contiguous run of global indices owned by one processor.
 type Range struct{ Lo, Hi int } // inclusive Lo, exclusive Hi
 
 // OwnedRanges returns the maximal contiguous global-index runs owned by
-// processor p, in increasing order. Block yields at most one range, cyclic
-// yields singletons, cyclic(k) yields chunk stripes.
+// processor p, in increasing order: one chunk per round. Block yields at most
+// one range, cyclic yields singletons, cyclic(k) yields chunk stripes.
 func (m DimMap) OwnedRanges(p int) []Range {
 	var out []Range
-	switch m.Kind {
-	case Star:
-		if m.N > 0 {
-			out = append(out, Range{0, m.N})
-		}
-	case Block:
-		lo := p * m.B
-		hi := lo + m.B
-		if hi > m.N {
-			hi = m.N
-		}
-		if lo < hi {
-			out = append(out, Range{lo, hi})
-		}
-	case Cyclic:
-		for i := p; i < m.N; i += m.P {
-			out = append(out, Range{i, i + 1})
-		}
-	case BlockCyclic:
-		k := m.Chunk
-		for lo := p * k; lo < m.N; lo += k * m.P {
-			hi := lo + k
-			if hi > m.N {
-				hi = m.N
-			}
-			out = append(out, Range{lo, hi})
-		}
+	for lo := p * m.K; lo < m.N; lo += m.K * m.P {
+		out = append(out, Range{lo, min(lo+m.K, m.N)})
 	}
 	return out
 }

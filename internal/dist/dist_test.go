@@ -37,6 +37,80 @@ func TestTable1BlockExample(t *testing.T) {
 	}
 }
 
+// TestTable1Literal pins Owner, Offset and PortionLen to the rows of the
+// paper's Table 1 as printed, one closed form per specifier, so the normal
+// form is checked against the paper and not against itself. The extents and
+// processor counts cover P not dividing N, P > N, k > N and k*P > N.
+func TestTable1Literal(t *testing.T) {
+	type row struct {
+		dim           Dim
+		owner, offset func(i, n, p int) int
+	}
+	cyclicK := func(k int) row {
+		return row{Dim{Kind: BlockCyclic, Chunk: k},
+			func(i, n, p int) int { return (i / k) % p },
+			func(i, n, p int) int { return (i/(k*p))*k + i%k }}
+	}
+	rows := []row{
+		{Dim{Kind: Star},
+			func(i, n, p int) int { return 0 },
+			func(i, n, p int) int { return i }},
+		{Dim{Kind: Block},
+			func(i, n, p int) int { return i / ((n + p - 1) / p) },
+			func(i, n, p int) int { return i % ((n + p - 1) / p) }},
+		{Dim{Kind: Cyclic},
+			func(i, n, p int) int { return i % p },
+			func(i, n, p int) int { return i / p }},
+		cyclicK(1), cyclicK(3), cyclicK(5), cyclicK(16), cyclicK(2000),
+	}
+	for _, n := range []int{1, 7, 16, 1001} {
+		for _, p := range []int{1, 3, 4, 8, 16, 32} {
+			for _, r := range rows {
+				m := NewDimMap(r.dim, n, p)
+				portion := make([]int, p)
+				for i := 0; i < n; i++ {
+					wo, woff := r.owner(i, n, p), r.offset(i, n, p)
+					if o, off := m.Owner(i), m.Offset(i); o != wo || off != woff {
+						t.Fatalf("%v n=%d p=%d: element %d at (owner %d, offset %d), Table 1 says (%d, %d)",
+							r.dim, n, p, i, o, off, wo, woff)
+					}
+					portion[wo]++
+				}
+				for q := 0; q < m.P; q++ {
+					if got := m.PortionLen(q); got != portion[q] {
+						t.Fatalf("%v n=%d p=%d: PortionLen(%d) = %d, Table 1 owners give %d",
+							r.dim, n, p, q, got, portion[q])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestHugeChunkClamped: a chunk beyond the extent owns what a chunk equal to
+// it owns, and K*P stays representable however large the declared chunk is
+// (cyclic(2^62) on four processors used to wrap k*P to zero and divide by it).
+func TestHugeChunkClamped(t *testing.T) {
+	huge := NewDimMap(Dim{Kind: BlockCyclic, Chunk: 1 << 62}, 16, 4)
+	want := NewDimMap(Dim{Kind: BlockCyclic, Chunk: 16}, 16, 4)
+	if huge.K != 16 {
+		t.Fatalf("K = %d, want 16", huge.K)
+	}
+	for i := 0; i < 16; i++ {
+		if huge.Owner(i) != want.Owner(i) || huge.Offset(i) != want.Offset(i) || huge.runEnd(i) != want.runEnd(i) {
+			t.Fatalf("element %d: cyclic(2^62) and cyclic(16) disagree", i)
+		}
+	}
+	for q := 0; q < 4; q++ {
+		if huge.PortionLen(q) != want.PortionLen(q) || len(huge.OwnedRanges(q)) != len(want.OwnedRanges(q)) {
+			t.Fatalf("processor %d: cyclic(2^62) and cyclic(16) disagree", q)
+		}
+	}
+	if huge.MaxPortionLen() != 16 {
+		t.Fatalf("MaxPortionLen = %d, want 16", huge.MaxPortionLen())
+	}
+}
+
 // TestOwnerOffsetGlobalRoundTrip checks the Table 1 transforms are the exact
 // inverse of Global for every kind.
 func TestOwnerOffsetGlobalRoundTrip(t *testing.T) {

@@ -17,26 +17,8 @@ type Xfer struct {
 }
 
 // runEnd returns the exclusive end of the maximal run of consecutive global
-// indices starting at i that share Owner(i). Star owns the whole dimension,
-// Block runs to the next block boundary, Cyclic runs are singletons, and
-// cyclic(k) runs to the next chunk boundary.
-func (m DimMap) runEnd(i int) int {
-	e := m.N
-	switch m.Kind {
-	case Block:
-		if m.B > 0 {
-			e = (i/m.B + 1) * m.B
-		}
-	case Cyclic:
-		e = i + 1
-	case BlockCyclic:
-		e = (i/m.Chunk + 1) * m.Chunk
-	}
-	if e > m.N {
-		e = m.N
-	}
-	return e
-}
+// indices starting at i that share Owner(i): the rest of i's chunk.
+func (m DimMap) runEnd(i int) int { return min((i/m.K+1)*m.K, m.N) }
 
 // dimIntersect computes the per-dimension intersection counts: cell [po][pn]
 // is the number of indices owned by old-coordinate po under om and

@@ -57,6 +57,8 @@ func TestIntersectMatchesBruteForce(t *testing.T) {
 		{"block-star-to-star-block", Spec{Dims: []Dim{{Kind: Block}, {Kind: Star}}}, Spec{Dims: []Dim{{Kind: Star}, {Kind: Block}}}, []int{24, 36}, 8},
 		{"cyclic5-to-cyclic2", Spec{Dims: []Dim{{Kind: BlockCyclic, Chunk: 5}}}, Spec{Dims: []Dim{{Kind: BlockCyclic, Chunk: 2}}}, []int{143}, 6},
 		{"2d-block-block-to-cyclic-block", Spec{Dims: []Dim{{Kind: Block}, {Kind: Block}}}, Spec{Dims: []Dim{{Kind: Cyclic}, {Kind: Block}}}, []int{20, 18}, 8},
+		{"cyclic200-past-extent-to-cyclic", Spec{Dims: []Dim{{Kind: BlockCyclic, Chunk: 200}}}, Spec{Dims: []Dim{{Kind: Cyclic}}}, []int{37}, 8},
+		{"block-more-procs-than-elements-to-cyclic2", Spec{Dims: []Dim{{Kind: Block}}}, Spec{Dims: []Dim{{Kind: BlockCyclic, Chunk: 2}}}, []int{5}, 8},
 		{"same-spec-no-motion", Spec{Dims: []Dim{{Kind: Block}, {Kind: Star}}}, Spec{Dims: []Dim{{Kind: Block}, {Kind: Star}}}, []int{33, 7}, 4},
 	}
 	for _, tc := range cases {

@@ -348,24 +348,20 @@ func (rt *Runtime) denseExtent(st *ArrayState, addr int64) int64 {
 	allowed := st.PortionBytes - (addr - base)
 	strideBytes := int64(8)
 	rem := off
-	for d, m := range st.Maps {
+	for _, m := range st.Maps {
 		ml := int64(m.MaxPortionLen())
 		od := rem % ml
 		rem /= ml
 		switch m.Kind {
 		case dist.Cyclic, dist.BlockCyclic:
 			if m.P > 1 {
-				k := int64(1)
-				if m.Kind == dist.BlockCyclic {
-					k = int64(m.Chunk)
-				}
+				k := int64(m.K)
 				run := k - od%k
 				if lim := run * strideBytes; lim < allowed {
 					allowed = lim
 				}
 			}
 		}
-		_ = d
 		strideBytes *= ml
 	}
 	return allowed

@@ -286,17 +286,19 @@ func (rt *Runtime) loadArray(st *ArrayState, chunks []poolChunk) {
 	}
 }
 
-// writeDescriptor fills the N/P/B/K/ML fields for every dimension.
+// writeDescriptor fills the N/P/B/K/ML fields for every dimension. B and K
+// are the words the per-kind closed forms of generated code read (xform/tile.go),
+// not the normal-form chunk: B is the block size for block and N otherwise, K
+// the declared chunk for cyclic(k) and 1 otherwise.
 func (rt *Runtime) writeDescriptor(st *ArrayState) {
 	for d, m := range st.Maps {
 		base := st.DescAddr + int64(d*ir.DescFields*8)
-		k := int64(1)
+		k, b := int64(1), int64(m.N)
 		if m.Kind == dist.BlockCyclic {
 			k = int64(m.Chunk)
 		}
-		b := int64(m.B)
-		if b == 0 {
-			b = int64(m.N)
+		if m.Kind == dist.Block {
+			b = int64(dist.BlockSize(m.N, m.P))
 		}
 		rt.Sys.Poke(base+int64(ir.FieldN)*8, uint64(m.N))
 		rt.Sys.Poke(base+int64(ir.FieldP)*8, uint64(m.P))
@@ -333,7 +335,7 @@ func (st *ArrayState) ownedRuns(p int, fn func(lo, hi int64)) {
 	runLen := int64(1)
 	first := len(st.Maps)
 	for d, m := range st.Maps {
-		if m.Distributed() && m.P > 1 {
+		if m.P > 1 {
 			first = d
 			break
 		}
@@ -364,12 +366,6 @@ func (st *ArrayState) ownedRuns(p int, fn func(lo, hi int64)) {
 			return
 		}
 		m := st.Maps[d]
-		if !m.Distributed() || m.P == 1 {
-			for i := 0; i < m.N; i++ {
-				walk(d+1, offset+int64(i)*stride, stride*int64(m.N))
-			}
-			return
-		}
 		for _, r := range m.OwnedRanges(coord[d]) {
 			for i := r.Lo; i < r.Hi; i++ {
 				walk(d+1, offset+int64(i)*stride, stride*int64(m.N))

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dsmdist/internal/dist"
+	"dsmdist/internal/ir"
 	"dsmdist/internal/link"
 	"dsmdist/internal/machine"
 	"dsmdist/internal/obj"
@@ -53,6 +54,46 @@ func TestDescriptorContents(t *testing.T) {
 	rd := func(f int64) int64 { return int64(rt.Sys.Peek(st.DescAddr + f*8)) }
 	if rd(0) != 64 || rd(1) != 4 || rd(2) != 16 || rd(4) != 16 {
 		t.Fatalf("descriptor = N=%d P=%d B=%d K=%d ML=%d", rd(0), rd(1), rd(2), rd(3), rd(4))
+	}
+}
+
+// TestDescriptorWordsPerKind pins the five words generated code reads, for
+// one dimension of each specifier: B and K are the per-kind closed-form
+// operands (block size or N; declared chunk or 1), not dist's normal-form
+// chunk.
+func TestDescriptorWordsPerKind(t *testing.T) {
+	rt := loadSrc(t, `
+      program p
+      real*8 a(10), b(10), c(10), d(10, 10), e(10)
+c$distribute_reshape a(block), b(cyclic), c(cyclic(3))
+c$distribute d(*, block), e(cyclic(1000))
+      a(1) = 0.0
+      b(1) = 0.0
+      c(1) = 0.0
+      d(1, 1) = 0.0
+      e(1) = 0.0
+      end
+`, 4, ospage.FirstTouch)
+	for _, tc := range []struct {
+		name string
+		dim  int
+		want [5]int64 // N, P, B, K, ML
+	}{
+		{"a", 0, [5]int64{10, 4, 3, 1, 3}},
+		{"b", 0, [5]int64{10, 4, 10, 1, 3}},
+		{"c", 0, [5]int64{10, 4, 10, 3, 3}},
+		{"d", 0, [5]int64{10, 1, 10, 1, 10}},
+		{"d", 1, [5]int64{10, 4, 3, 1, 3}},
+		{"e", 0, [5]int64{10, 4, 10, 1000, 10}},
+	} {
+		st := rt.ArrayByName("p", tc.name)
+		var got [5]int64
+		for f := range got {
+			got[f] = int64(rt.Sys.Peek(st.DescAddr + int64(tc.dim*ir.DescFields+f)*8))
+		}
+		if got != tc.want {
+			t.Errorf("%s dim %d: descriptor N/P/B/K/ML = %v, want %v", tc.name, tc.dim+1, got, tc.want)
+		}
 	}
 }
 

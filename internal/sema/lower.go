@@ -167,6 +167,9 @@ func (a *analyzer) lowerStmt(out []ir.Stmt, s fortran.Stmt) []ir.Stmt {
 	return out
 }
 
+// maxChunk bounds the k of cyclic(k): see lowerDistDims.
+const maxChunk = 1<<31 - 1
+
 // lowerDistDims turns the per-dimension specifiers of a c$distribute,
 // c$distribute_reshape or c$redistribute on array into a dist.Spec.
 func (a *analyzer) lowerDistDims(array string, dims []fortran.DistDim, line int) dist.Spec {
@@ -182,10 +185,16 @@ func (a *analyzer) lowerDistDims(array string, dims []fortran.DistDim, line int)
 		case fortran.DCyclicExpr:
 			spec.Dims[i].Kind = dist.BlockCyclic
 			cv, ok := a.evalConst(sd.Chunk)
-			if !ok || !cv.isInt || cv.i <= 0 {
+			spec.Dims[i].Chunk = 1
+			switch {
+			case !ok || !cv.isInt || cv.i <= 0:
 				a.errorf(line, "cyclic chunk for %s dim %d must be a positive integer constant", array, i+1)
-				spec.Dims[i].Chunk = 1
-			} else {
+			case cv.i > maxChunk:
+				// Generated code multiplies the chunk by the processor
+				// count (Table 1's k*P); beyond 31 bits that product
+				// is not representable for every P.
+				a.errorf(line, "cyclic chunk %d for %s dim %d exceeds the %d (2^31-1) limit", cv.i, array, i+1, maxChunk)
+			default:
 				spec.Dims[i].Chunk = int(cv.i)
 			}
 		}

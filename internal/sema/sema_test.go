@@ -180,6 +180,14 @@ c$distribute a(block, *)
 c$redistribute a(*, cyclic(0))
       end
 `, "cyclic chunk for a dim 2")
+	// A chunk whose product with the processor count could wrap is a
+	// compile error, not a division by zero at load time.
+	analyzeErr(t, `
+      program p
+      real*8 a(16)
+c$distribute_reshape a(cyclic(4611686018427387904))
+      end
+`, "test.f:4: cyclic chunk 4611686018427387904 for a dim 1 exceeds the 2147483647 (2^31-1) limit")
 }
 
 func TestEquivalenceReshapeRejected(t *testing.T) {

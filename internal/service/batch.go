@@ -10,11 +10,7 @@
 // advisor verification fan-out as one round trip.
 package service
 
-import (
-	"fmt"
-
-	"dsmdist/internal/core"
-)
+import "fmt"
 
 // BatchRequest is the POST /batch body.
 type BatchRequest struct {
@@ -73,102 +69,22 @@ func merged(def, el JobRequest) JobRequest {
 	return el
 }
 
-// SubmitBatch admits a whole batch atomically. Every element is validated
-// first (one bad element rejects the batch — nothing is admitted), then
-// admission is all-or-nothing against the queue bound: the elements that
-// genuinely need a queue slot — not a store hit, not coalescible onto an
-// in-flight job or an earlier identical element of this batch — must all
-// fit in the remaining space, or no job is created and ErrQueueFull comes
-// back. The returned jobs parallel req.Jobs; attached[i] reports that
+// SubmitBatch admits a whole batch atomically. Every element is merged with
+// the defaults and validated first (one bad element rejects the batch —
+// nothing is admitted), then admit applies the queue bound to the batch as
+// a whole. The returned jobs parallel req.Jobs; attached[i] reports that
 // element i coalesced onto a job another submission (or earlier element)
 // started.
 func (s *Server) SubmitBatch(req *BatchRequest) (jobs []*Job, attached []bool, err error) {
 	if len(req.Jobs) == 0 {
 		return nil, nil, fmt.Errorf("service: empty batch")
 	}
-	type element struct {
-		spec   jobSpec
-		key    string
-		tenant string
-		cached []byte // non-nil: persisted result document
-	}
-	els := make([]element, len(req.Jobs))
+	specs := make([]jobSpec, len(req.Jobs))
 	for i := range req.Jobs {
 		r := merged(req.Defaults, req.Jobs[i])
-		spec, err := validate(&r)
-		if err != nil {
+		if specs[i], err = validate(&r); err != nil {
 			return nil, nil, fmt.Errorf("service: batch element %d: %w", i, err)
 		}
-		els[i].spec = spec
-		els[i].key = core.JobKey(spec.JobSpec)
-		els[i].tenant = orDefault(r.Tenant, "default")
 	}
-	// Store lookups outside the server mutex (the store has its own lock
-	// and hits the disk for payloads); as with Submit, an identical job
-	// finishing between this check and the admission below only costs a
-	// coalesced wait, never a duplicate simulation.
-	if s.opts.Store != nil {
-		for i := range els {
-			if data, ok := s.opts.Store.Get(KindResult, els[i].key); ok {
-				els[i].cached = data
-			}
-		}
-	}
-
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		return nil, nil, ErrDraining
-	}
-	// Count the queue slots this batch needs before creating anything, so
-	// rejection leaves no trace (no job records, no inflight entries).
-	need := 0
-	dup := map[string]bool{}
-	for i := range els {
-		if els[i].cached != nil {
-			continue
-		}
-		if _, ok := s.inflight[els[i].key]; ok {
-			continue
-		}
-		if dup[els[i].key] {
-			continue
-		}
-		dup[els[i].key] = true
-		need++
-	}
-	if len(s.queue)+need > s.opts.MaxQueue {
-		s.mu.Unlock()
-		return nil, nil, ErrQueueFull
-	}
-	jobs = make([]*Job, len(els))
-	attached = make([]bool, len(els))
-	for i := range els {
-		el := &els[i]
-		if el.cached != nil {
-			j := s.newJobLocked(el.key, el.tenant, el.spec)
-			j.State = StateDone
-			j.Cached = true
-			j.Result = el.cached
-			close(j.done)
-			s.retireLocked(j)
-			jobs[i] = j
-			continue
-		}
-		// Earlier elements of this batch have already registered their
-		// keys in inflight, so within-batch duplicates coalesce here too.
-		if j := s.inflight[el.key]; j != nil {
-			j.Coalesced++
-			jobs[i], attached[i] = j, true
-			continue
-		}
-		j := s.newJobLocked(el.key, el.tenant, el.spec)
-		j.State = StateQueued
-		s.inflight[el.key] = j
-		s.queue = append(s.queue, j)
-		jobs[i] = j
-	}
-	s.mu.Unlock()
-	s.schedule()
-	return jobs, attached, nil
+	return s.admit(specs)
 }

@@ -95,28 +95,42 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	j, attached, err := s.Submit(&req)
-	switch {
-	case errors.Is(err, ErrQueueFull):
-		writeError(w, http.StatusTooManyRequests, err)
-		return
-	case errors.Is(err, ErrDraining):
-		writeError(w, http.StatusServiceUnavailable, err)
-		return
-	case err != nil:
-		writeError(w, http.StatusBadRequest, err)
+	if err != nil {
+		writeAdmitError(w, err)
 		return
 	}
-	if !req.NoWait {
+	if !req.NoWait && !s.waitJobs(w, r, j) {
+		return
+	}
+	writeJSON(w, http.StatusOK, s.View(j, attached))
+}
+
+// writeAdmitError answers a refused submission: 429 when the queue is full,
+// 503 while draining, 400 for a request that does not validate.
+func writeAdmitError(w http.ResponseWriter, err error) {
+	status := http.StatusBadRequest
+	switch {
+	case errors.Is(err, ErrQueueFull):
+		status = http.StatusTooManyRequests
+	case errors.Is(err, ErrDraining):
+		status = http.StatusServiceUnavailable
+	}
+	writeError(w, status, err)
+}
+
+// waitJobs blocks until every job is done. If the client goes away first it
+// answers 408 and reports false; the jobs keep running, and their results
+// are cached for the retry.
+func (s *Server) waitJobs(w http.ResponseWriter, r *http.Request, jobs ...*Job) bool {
+	for _, j := range jobs {
 		select {
 		case <-s.Done(j):
 		case <-r.Context().Done():
-			// Client went away; the job keeps running (its result is
-			// cached for the retry).
 			writeError(w, http.StatusRequestTimeout, r.Context().Err())
-			return
+			return false
 		}
 	}
-	writeJSON(w, http.StatusOK, s.View(j, attached))
+	return true
 }
 
 // handleBatch is POST /batch: atomic all-or-429 admission of a whole
@@ -131,28 +145,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	jobs, attached, err := s.SubmitBatch(&req)
-	switch {
-	case errors.Is(err, ErrQueueFull):
-		writeError(w, http.StatusTooManyRequests, err)
-		return
-	case errors.Is(err, ErrDraining):
-		writeError(w, http.StatusServiceUnavailable, err)
-		return
-	case err != nil:
-		writeError(w, http.StatusBadRequest, err)
+	if err != nil {
+		writeAdmitError(w, err)
 		return
 	}
-	if !req.NoWait {
-		for _, j := range jobs {
-			select {
-			case <-s.Done(j):
-			case <-r.Context().Done():
-				// Client went away; the jobs keep running (their results
-				// are cached for the retry).
-				writeError(w, http.StatusRequestTimeout, r.Context().Err())
-				return
-			}
-		}
+	if !req.NoWait && !s.waitJobs(w, r, jobs...) {
+		return
 	}
 	view := BatchView{V: 1, Jobs: make([]JobView, len(jobs))}
 	for i, j := range jobs {
@@ -182,13 +180,8 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 			w.Write([]byte(obs.DashboardHTML()))
 			return
 		}
-		if r.URL.Query().Get("wait") != "" {
-			select {
-			case <-s.Done(j):
-			case <-r.Context().Done():
-				writeError(w, http.StatusRequestTimeout, r.Context().Err())
-				return
-			}
+		if r.URL.Query().Get("wait") != "" && !s.waitJobs(w, r, j) {
+			return
 		}
 		writeJSON(w, http.StatusOK, s.View(j, false))
 	case "snapshot":

@@ -24,7 +24,6 @@ package service
 
 import (
 	"bytes"
-	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -100,6 +99,7 @@ type jobSpec struct {
 	engine exec.Engine
 	sample int64
 	mach   func(int) *machine.Config
+	tenant string
 }
 
 // Job is one admitted submission. Mutable fields are guarded by the
@@ -291,6 +291,7 @@ func validate(req *JobRequest) (jobSpec, error) {
 	}
 	spec.engine = engine
 	spec.sample = req.Sample
+	spec.tenant = orDefault(req.Tenant, "default")
 	return spec, nil
 }
 
@@ -310,61 +311,94 @@ func (s *Server) Submit(req *JobRequest) (j *Job, attached bool, err error) {
 	if err != nil {
 		return nil, false, err
 	}
-	key := core.JobKey(spec.JobSpec)
-	tenant := orDefault(req.Tenant, "default")
+	jobs, att, err := s.admit([]jobSpec{spec})
+	if err != nil {
+		return nil, false, err
+	}
+	return jobs[0], att[0], nil
+}
 
-	// Fast path: a persisted result document. Checked before the inflight
-	// map so restarts and cross-user sharing both hit; the race where an
-	// identical job finishes between this check and the lock below only
-	// costs a coalesced wait, never a duplicate simulation.
-	if s.opts.Store != nil {
-		if data, ok := s.opts.Store.Get(KindResult, key); ok {
-			s.mu.Lock()
-			if s.draining {
-				s.mu.Unlock()
-				return nil, false, ErrDraining
+// admit is the one admission path behind Submit and SubmitBatch. Each
+// validated spec takes the cheapest route available — persisted result,
+// coalesce onto an in-flight identical job (including an earlier spec of the
+// same call), or enqueue — and admission is all-or-nothing against the
+// queue bound: the specs that genuinely need a queue slot must all fit in
+// the remaining space, or no job is created and ErrQueueFull comes back.
+// The returned slices parallel specs.
+func (s *Server) admit(specs []jobSpec) (jobs []*Job, attached []bool, err error) {
+	// Store lookups come first and outside the server mutex (the store has
+	// its own lock and hits the disk for payloads), so restarts and
+	// cross-user sharing both hit; an identical job finishing between this
+	// check and the admission below only costs a coalesced wait, never a
+	// duplicate simulation.
+	keys := make([]string, len(specs))
+	cached := make([][]byte, len(specs)) // non-nil: persisted result document
+	for i := range specs {
+		keys[i] = core.JobKey(specs[i].JobSpec)
+		if s.opts.Store != nil {
+			if data, ok := s.opts.Store.Get(KindResult, keys[i]); ok {
+				cached[i] = data
 			}
-			j := s.newJobLocked(key, tenant, spec)
-			j.State = StateDone
-			j.Cached = true
-			j.Result = data
-			close(j.done)
-			s.retireLocked(j)
-			s.mu.Unlock()
-			return j, false, nil
 		}
 	}
 
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
-		return nil, false, ErrDraining
+		return nil, nil, ErrDraining
 	}
-	if j := s.inflight[key]; j != nil {
-		j.Coalesced++
+	// Count the queue slots this call needs before creating anything, so
+	// rejection leaves no trace (no job records, no inflight entries).
+	need := 0
+	dup := map[string]bool{}
+	for i, key := range keys {
+		if cached[i] == nil && s.inflight[key] == nil && !dup[key] {
+			dup[key] = true
+			need++
+		}
+	}
+	if len(s.queue)+need > s.opts.MaxQueue {
 		s.mu.Unlock()
-		return j, true, nil
+		return nil, nil, ErrQueueFull
 	}
-	if len(s.queue) >= s.opts.MaxQueue {
-		s.mu.Unlock()
-		return nil, false, ErrQueueFull
+	jobs = make([]*Job, len(specs))
+	attached = make([]bool, len(specs))
+	for i, key := range keys {
+		if cached[i] != nil {
+			j := s.newJobLocked(key, specs[i])
+			j.State, j.Cached, j.Result = StateDone, true, cached[i]
+			close(j.done)
+			s.retireLocked(j)
+			jobs[i] = j
+			continue
+		}
+		// Earlier specs of this call have already registered their keys
+		// in inflight, so duplicates within a batch coalesce here too.
+		if j := s.inflight[key]; j != nil {
+			j.Coalesced++
+			jobs[i], attached[i] = j, true
+			continue
+		}
+		j := s.newJobLocked(key, specs[i])
+		j.State = StateQueued
+		s.inflight[key] = j
+		s.queue = append(s.queue, j)
+		jobs[i] = j
 	}
-	j = s.newJobLocked(key, tenant, spec)
-	j.State = StateQueued
-	s.inflight[key] = j
-	s.queue = append(s.queue, j)
 	s.mu.Unlock()
-	s.schedule()
-	return j, false, nil
+	if need > 0 {
+		s.schedule()
+	}
+	return jobs, attached, nil
 }
 
 // newJobLocked allocates a job record. Callers hold mu.
-func (s *Server) newJobLocked(key, tenant string, spec jobSpec) *Job {
+func (s *Server) newJobLocked(key string, spec jobSpec) *Job {
 	s.nextID++
 	j := &Job{
 		ID:     fmt.Sprintf("j%d", s.nextID),
 		Key:    key,
-		Tenant: tenant,
+		Tenant: spec.tenant,
 		spec:   spec,
 		done:   make(chan struct{}),
 	}
@@ -575,15 +609,14 @@ func (s *Server) simulate(j *Job) ([]byte, error) {
 }
 
 // buildImage compiles through the in-memory bounded BuildCache with the
-// disk store behind it: memory hit → clone; disk hit → gob decode; miss →
+// disk store behind it: memory hit → clone; disk hit → decode; miss →
 // compile, persist, cache.
 func (s *Server) buildImage(spec jobSpec) (*link.Image, error) {
 	ck := core.CompileKey(spec.Sources, spec.Opt, spec.RuntimeChecks)
 	return s.builds.Get(ck, func() (*link.Image, error) {
 		if s.opts.Store != nil {
 			if data, ok := s.opts.Store.Get(KindCompile, ck); ok {
-				res := &codegen.Result{}
-				if err := gob.NewDecoder(bytes.NewReader(data)).Decode(res); err == nil {
+				if res, err := codegen.DecodeImage(bytes.NewReader(data)); err == nil {
 					return &link.Image{Res: res}, nil
 				}
 				// Corrupt payload: fall through and recompile over it.
@@ -597,7 +630,7 @@ func (s *Server) buildImage(spec jobSpec) (*link.Image, error) {
 		}
 		if s.opts.Store != nil {
 			var buf bytes.Buffer
-			if err := gob.NewEncoder(&buf).Encode(img.Res); err == nil {
+			if err := codegen.EncodeImage(&buf, img.Res); err == nil {
 				if err := s.opts.Store.Put(KindCompile, ck, buf.Bytes()); err != nil {
 					return nil, err
 				}
