@@ -105,22 +105,14 @@ func statusError(status int, data []byte) error {
 	return fmt.Errorf("service: %d %s: %s", status, text, strings.TrimSpace(string(data)))
 }
 
-// canonicalizeResult re-derives the canonical result encoding: the
-// transport re-indents the nested result document to its depth in the
-// JobView, so reformat back to 2-space indent + final newline — the exact
-// bytes the server stored. Indent copies tokens verbatim, so this is a
-// pure reformat.
-func canonicalizeResult(view *JobView) error {
-	if len(view.Result) == 0 {
-		return nil
+// storedResult restores the exact result bytes the server stored. The
+// server splices them into the view verbatim, and decoding drops only the
+// canonical document's final newline, so appending it back is the whole
+// conversion: no re-encoding, no reformatting.
+func storedResult(view *JobView) {
+	if len(view.Result) > 0 {
+		view.Result = append(view.Result, '\n')
 	}
-	var doc bytes.Buffer
-	if err := json.Indent(&doc, view.Result, "", "  "); err != nil {
-		return fmt.Errorf("service: bad result document: %w", err)
-	}
-	doc.WriteByte('\n')
-	view.Result = doc.Bytes()
-	return nil
 }
 
 // finished converts a terminal view into the caller's result: a failed
@@ -163,9 +155,7 @@ func (c *Client) Run(req *JobRequest) (*JobView, error) {
 	if err := json.Unmarshal(data, &view); err != nil {
 		return nil, fmt.Errorf("service: bad job response: %w", err)
 	}
-	if err := canonicalizeResult(&view); err != nil {
-		return nil, err
-	}
+	storedResult(&view)
 	if view.Cached || view.Coalesced {
 		c.cacheHits.Add(1)
 	}
@@ -204,9 +194,7 @@ func (c *Client) RunBatch(req *BatchRequest) ([]JobView, error) {
 		return nil, fmt.Errorf("service: batch returned %d views for %d jobs", len(view.Jobs), len(req.Jobs))
 	}
 	for i := range view.Jobs {
-		if err := canonicalizeResult(&view.Jobs[i]); err != nil {
-			return nil, err
-		}
+		storedResult(&view.Jobs[i])
 		if view.Jobs[i].Cached || view.Jobs[i].Coalesced {
 			c.cacheHits.Add(1)
 		}
@@ -235,8 +223,6 @@ func (c *Client) WaitJob(id string) (*JobView, error) {
 	if err := json.Unmarshal(data, &view); err != nil {
 		return nil, fmt.Errorf("service: bad job response: %w", err)
 	}
-	if err := canonicalizeResult(&view); err != nil {
-		return nil, err
-	}
+	storedResult(&view)
 	return finished(&view)
 }

@@ -44,12 +44,58 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// writeJSON answers with v, indented for a person reading it. It marshals
+// before writing the header, so a value that fails to encode is a 500 with
+// an error body, not a truncated 200.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err)
+		return
+	}
+	writeBody(w, status, append(data, '\n'))
+}
+
+func writeBody(w http.ResponseWriter, status int, data []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	w.Write(data)
+}
+
+// writeViews answers with job views: a JobView, or a BatchView of them when
+// batch is set. Each view's envelope is marshaled compactly and its result
+// document — the canonical ResultDoc bytes the store holds — is spliced in
+// verbatim as "result", last, so a client can hand back exactly the stored
+// bytes without re-encoding them.
+func writeViews(w http.ResponseWriter, batch bool, views ...JobView) {
+	var buf []byte
+	if batch {
+		buf = append(buf, `{"v":1,"jobs":[`...) // BatchView
+	}
+	for i, v := range views {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		result := v.Result
+		v.Result = nil
+		env, err := json.Marshal(v)
+		if err != nil {
+			writeError(w, http.StatusInternalServerError, err)
+			return
+		}
+		if len(result) == 0 {
+			buf = append(buf, env...)
+			continue
+		}
+		buf = append(buf, env[:len(env)-1]...) // reopen the envelope object
+		buf = append(buf, `,"result":`...)
+		buf = append(buf, result...)
+		buf = append(buf, '}')
+	}
+	if batch {
+		buf = append(buf, "]}"...)
+	}
+	writeBody(w, http.StatusOK, append(buf, '\n'))
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {
@@ -102,7 +148,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	if !req.NoWait && !s.waitJobs(w, r, j) {
 		return
 	}
-	writeJSON(w, http.StatusOK, s.View(j, attached))
+	writeViews(w, false, s.View(j, attached))
 }
 
 // writeAdmitError answers a refused submission: 429 when the queue is full,
@@ -152,11 +198,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !req.NoWait && !s.waitJobs(w, r, jobs...) {
 		return
 	}
-	view := BatchView{V: 1, Jobs: make([]JobView, len(jobs))}
+	views := make([]JobView, len(jobs))
 	for i, j := range jobs {
-		view.Jobs[i] = s.View(j, attached[i])
+		views[i] = s.View(j, attached[i])
 	}
-	writeJSON(w, http.StatusOK, view)
+	writeViews(w, true, views...)
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
@@ -183,7 +229,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Query().Get("wait") != "" && !s.waitJobs(w, r, j) {
 			return
 		}
-		writeJSON(w, http.StatusOK, s.View(j, false))
+		writeViews(w, false, s.View(j, false))
 	case "snapshot":
 		s.mu.Lock()
 		rec, snap := j.rec, j.snap

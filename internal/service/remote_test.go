@@ -18,6 +18,7 @@ import (
 	"dsmdist/internal/ospage"
 	"dsmdist/internal/service"
 	"dsmdist/internal/workloads"
+	"dsmdist/internal/xform"
 )
 
 func remoteTransposeReq() *service.JobRequest {
@@ -86,10 +87,32 @@ func remoteVerifyBatch(cli *service.Client) func([]advisor.VerifyPoint) ([]int64
 	}
 }
 
-// TestClientCanonicalResultBytes: the bytes a Client hands back are exactly
-// the canonical document the server stored — the transport's re-indentation
-// of the nested result is undone — so dsmrun -remote -json output is
-// byte-identical to a local -json run.
+// localResultDoc is the document a local run of remoteTransposeReq's spec
+// marshals: what dsmrun -json prints for it.
+func localResultDoc(t *testing.T) []byte {
+	t.Helper()
+	req := remoteTransposeReq()
+	img, err := core.NewAt(xform.O3()).Build(req.Sources)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := machine.Tiny(req.Procs)
+	run, err := core.Run(img, cfg, core.RunOptions{Policy: ospage.FirstTouch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := core.NewResultDoc(cfg, ospage.FirstTouch, run).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return doc
+}
+
+// TestClientCanonicalResultBytes: the bytes a Client hands back on every
+// read path — Run, RunBatch and WaitJob, cold and warm — are exactly the
+// document the server stored, which is exactly the document a local run
+// marshals, so dsmrun -remote -json output is byte-identical to a local
+// -json run.
 func TestClientCanonicalResultBytes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulator run")
@@ -111,9 +134,37 @@ func TestClientCanonicalResultBytes(t *testing.T) {
 	if !ok {
 		t.Fatalf("no stored result under the returned key %s", view.Key)
 	}
-	if !bytes.Equal(stored, view.Result) {
-		t.Fatalf("client result differs from stored canonical bytes:\n--- stored\n%s\n--- client\n%s",
-			stored, view.Result)
+	if local := localResultDoc(t); !bytes.Equal(stored, local) {
+		t.Fatalf("stored result differs from the local result document:\n--- local\n%s\n--- stored\n%s",
+			local, stored)
+	}
+
+	warm, err := cli.Run(remoteTransposeReq())
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, err := cli.RunBatch(&service.BatchRequest{
+		Jobs: []service.JobRequest{*remoteTransposeReq(), *remoteTransposeReq()},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waited, err := cli.WaitJob(view.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, got := range map[string]*service.JobView{
+		"Run (cold)": view, "Run (warm)": warm,
+		"RunBatch[0]": &batch[0], "RunBatch[1]": &batch[1], "WaitJob": waited,
+	} {
+		if !bytes.Equal(stored, got.Result) {
+			t.Errorf("%s result differs from stored canonical bytes:\n--- stored\n%s\n--- client\n%s",
+				name, stored, got.Result)
+		}
+	}
+	if !warm.Cached || !batch[0].Cached {
+		t.Fatalf("warm reads not served from the store: Run cached=%v, RunBatch cached=%v",
+			warm.Cached, batch[0].Cached)
 	}
 }
 

@@ -336,7 +336,9 @@ func (s *Server) admit(specs []jobSpec) (jobs []*Job, attached []bool, err error
 	for i := range specs {
 		keys[i] = core.JobKey(specs[i].JobSpec)
 		if s.opts.Store != nil {
-			if data, ok := s.opts.Store.Get(KindResult, keys[i]); ok {
+			// A stored result that is not a JSON document (a file torn by
+			// a crash) is dropped and re-simulated, not served.
+			if data, ok := s.opts.Store.get(KindResult, keys[i], json.Valid); ok {
 				cached[i] = data
 			}
 		}

@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"os"
 	"testing"
 	"time"
 
@@ -122,6 +126,76 @@ func TestServerResultCacheAndRestart(t *testing.T) {
 	}
 	if n := srv2.Simulations(); n != 0 {
 		t.Fatalf("restarted server ran %d simulations, want 0", n)
+	}
+}
+
+// TestTornStoredResultResimulated: a stored result file torn by a crash
+// (truncated, or empty) is a miss — dropped and simulated again, the
+// correct bytes served and re-stored — not a permanent empty 200.
+func TestTornStoredResultResimulated(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulator run")
+	}
+	for name, tear := range map[string]func([]byte) []byte{
+		"truncated": func(b []byte) []byte { return b[:len(b)/2] },
+		"empty":     func([]byte) []byte { return nil },
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			store, err := OpenStore(dir, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := New(Options{Store: store})
+			hs := httptest.NewServer(srv.Handler())
+			cold, err := NewClient(hs.URL).Run(transposeReq())
+			hs.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := srv.Drain(); err != nil {
+				t.Fatal(err)
+			}
+			path := store.objPath(KindResult, cold.Key)
+			if err := os.WriteFile(path, tear(cold.Result), 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			store2, err := OpenStore(dir, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv2 := New(Options{Store: store2})
+			hs2 := httptest.NewServer(srv2.Handler())
+			defer hs2.Close()
+			view, err := NewClient(hs2.URL).Run(transposeReq())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if view.Cached || !bytes.Equal(view.Result, cold.Result) {
+				t.Fatalf("torn result resubmitted: cached=%v, byte-equal to the cold result=%v",
+					view.Cached, bytes.Equal(view.Result, cold.Result))
+			}
+			if n := srv2.Simulations(); n != 1 {
+				t.Fatalf("simulations = %d, want 1 (the torn result re-simulated)", n)
+			}
+			if onDisk, err := os.ReadFile(path); err != nil || !bytes.Equal(onDisk, cold.Result) {
+				t.Fatalf("the re-simulated result was not stored over the torn file (%v)", err)
+			}
+		})
+	}
+}
+
+// TestWriteJSONEncodeFailure: a response value that fails to encode is
+// answered 500 with an error body, never a 200 with a truncated one.
+func TestWriteJSONEncodeFailure(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, math.Inf(1))
+	var body struct {
+		Error string `json:"error"`
+	}
+	if rec.Code != http.StatusInternalServerError || json.Unmarshal(rec.Body.Bytes(), &body) != nil || body.Error == "" {
+		t.Fatalf("encode failure answered %d %q, want 500 with an error body", rec.Code, rec.Body)
 	}
 }
 
@@ -295,6 +369,29 @@ func TestServerValidation(t *testing.T) {
 	for i, req := range bad {
 		if _, _, err := srv.Submit(req); err == nil {
 			t.Errorf("bad request %d was admitted", i)
+		}
+	}
+}
+
+// BenchmarkWarmHit times the warm path end to end: Client.Run of a job
+// whose result the store holds, over a loopback HTTP server — request
+// encode, validate, JobKey, Store.Get, view write, response decode.
+func BenchmarkWarmHit(b *testing.B) {
+	store, err := OpenStore(b.TempDir(), 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv := New(Options{Store: store})
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	cli := NewClient(hs.URL)
+	if _, err := cli.Run(transposeReq()); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if view, err := cli.Run(transposeReq()); err != nil || !view.Cached {
+			b.Fatalf("warm Run: cached=%v err=%v", view != nil && view.Cached, err)
 		}
 	}
 }
