@@ -11,12 +11,10 @@
 //	dsmbench -quick               small sizes for a fast smoke run
 //	dsmbench -procs 1,4,16,64     override the processor sweep
 //	dsmbench -par 4               host worker budget: sets the shared
-//	                              hostpool budget that sweep workers AND the
-//	                              parallel engine's region workers draw from
+//	                              hostpool budget that sweep workers draw
+//	                              from, one simulated point per worker
 //	                              (0 = GOMAXPROCS; simulated results are
 //	                              bit-identical at any setting)
-//	dsmbench -engine parallel     host execution engine per point
-//	                              (serial | parallel | auto; bit-identical)
 //	dsmbench -progress            live progress line on stderr per sweep
 //	                              (points done/total, compile-cache hits,
 //	                              ETA), with the lowest-index failure
@@ -48,7 +46,6 @@ import (
 	"strings"
 	"time"
 
-	"dsmdist/internal/exec"
 	"dsmdist/internal/experiments"
 	"dsmdist/internal/hostpool"
 	"dsmdist/internal/service"
@@ -59,8 +56,7 @@ func main() {
 	list := flag.Bool("list", false, "list available experiments and exit")
 	quick := flag.Bool("quick", false, "use small sizes")
 	procsFlag := flag.String("procs", "", "comma-separated processor counts")
-	par := flag.Int("par", 0, "host worker budget shared by sweeps and the parallel engine (0 = GOMAXPROCS, 1 = serial)")
-	engineName := flag.String("engine", "auto", "host engine: serial | parallel | auto")
+	par := flag.Int("par", 0, "host worker budget for sweep points (0 = GOMAXPROCS, 1 = serial)")
 	jsonOut := flag.String("json", "", "write all rows as JSON to file")
 	progress := flag.Bool("progress", false, "live progress line on stderr per sweep")
 	remote := flag.String("remote", "", "dsmd service URL: run sweep points there as one batch per sweep")
@@ -81,13 +77,8 @@ func main() {
 	}
 	sizes.Par = *par
 	if *par > 0 {
-		// One budget governs both levels of host parallelism: sweep
-		// points and the parallel engine's per-region workers.
 		hostpool.SetBudget(*par)
 	}
-	eng, err := exec.ParseEngine(*engineName)
-	die(err)
-	sizes.Engine = eng
 	if *progress {
 		sizes.Progress = os.Stderr
 	}
@@ -131,8 +122,8 @@ func main() {
 		rows, err := e.Run(sizes)
 		die(err)
 		experiments.Print(os.Stdout, rows)
-		fmt.Printf("host: %s wall, budget %d workers, engine %s\n\n",
-			time.Since(t0).Round(time.Millisecond), hostpool.Budget(), eng)
+		fmt.Printf("host: %s wall, budget %d workers\n\n",
+			time.Since(t0).Round(time.Millisecond), hostpool.Budget())
 		allRows = append(allRows, rows...)
 	}
 	if cli != nil {

@@ -3,7 +3,7 @@
 // them through a content-addressed result cache persisted on disk, and
 // runs what remains on the simulated Origin-2000 under a bounded job queue
 // with per-tenant concurrency limits. Because simulation is deterministic
-// (bit-identical across engines and tiers), a run result is a pure
+// (bit-identical across tiers and runs), a run result is a pure
 // function of its job spec: identical submissions — concurrent or days
 // apart, from any client — cost exactly one simulation.
 //

@@ -22,9 +22,6 @@
 //	-trace FILE   also write a Chrome trace_event timeline
 //	-heat-json F  also write the per-array × per-node heat map in the
 //	              schema internal/advisor consumes (dsmadvise -heat F)
-//	-engine E     serial | parallel | auto (default auto): host execution
-//	              engine, as in dsmrun; profiles are bit-identical across
-//	              engines
 //	-max-quanta N raise the runaway-loop guard, as in dsmrun
 //
 // Live observability, as in dsmrun (host-side only; the profile numbers
@@ -65,7 +62,6 @@ func main() {
 	csvOut := flag.String("csv", "", "write per-region CSV to file")
 	traceOut := flag.String("trace", "", "write Chrome trace-event JSON to file")
 	heatOut := flag.String("heat-json", "", "write the per-array heat map (advisor schema) to file")
-	engineName := flag.String("engine", "auto", "host engine: serial | parallel | auto")
 	maxQuanta := flag.Int64("max-quanta", 0, "runaway-loop guard: max scheduling rounds (0 = default)")
 	serveAddr := flag.String("serve", "", "serve live run views on this address (e.g. :8080)")
 	seriesOut := flag.String("series", "", "append cycle-sampled snapshot rows to this JSONL file")
@@ -92,8 +88,6 @@ func main() {
 	die(err)
 	cfg := mach(*procs)
 	policy, err := ospage.ParsePolicy(*policyName)
-	die(err)
-	engine, err := exec.ParseEngine(*engineName)
 	die(err)
 
 	rec := obs.NewRecorder(cfg)
@@ -169,8 +163,7 @@ func main() {
 		res = img.Res
 	}
 
-	run, err := exec.Run(res, cfg, exec.Options{Policy: policy, Rec: rec,
-		Engine: engine, MaxQuanta: *maxQuanta})
+	run, err := exec.Run(res, cfg, exec.Options{Policy: policy, Rec: rec, MaxQuanta: *maxQuanta})
 	die(err)
 
 	fmt.Printf("dsmprof: %d cycles (%.6f s at %d MHz), policy %s\n\n",

@@ -21,10 +21,6 @@
 //	-arrays       print the final contents of small arrays (<= 64 elements)
 //	-trace FILE   write a Chrome trace_event timeline (chrome://tracing)
 //	-prof         print a dsmprof-style profile after the run
-//	-engine E     serial | parallel | auto (default auto): host execution
-//	              engine. The parallel engine runs simulated processors on
-//	              real cores; results are bit-identical to serial (the
-//	              DSM_ENGINE environment variable overrides auto)
 //	-max-quanta N raise the runaway-loop guard (scheduling rounds before
 //	              the run is aborted as an infinite loop)
 //	-json         print the run's statistics as JSON instead of text
@@ -84,7 +80,6 @@ func main() {
 	arrays := flag.Bool("arrays", false, "print final contents of small arrays")
 	traceOut := flag.String("trace", "", "write Chrome trace-event JSON to file")
 	prof := flag.Bool("prof", false, "print a profile breakdown after the run")
-	engineName := flag.String("engine", "auto", "host engine: serial | parallel | auto")
 	maxQuanta := flag.Int64("max-quanta", 0, "runaway-loop guard: max scheduling rounds (0 = default)")
 	jsonOut := flag.Bool("json", false, "print statistics as JSON")
 	remote := flag.String("remote", "", "submit to a dsmd service at this URL instead of running locally")
@@ -106,11 +101,9 @@ func main() {
 	cfg := mach(*procs)
 	policy, err := ospage.ParsePolicy(*policyName)
 	die(err)
-	engine, err := exec.ParseEngine(*engineName)
-	die(err)
 
 	if *remote != "" {
-		runRemote(*remote, *machName, *procs, *policyName, *engineName, *jsonOut, flag.Args())
+		runRemote(*remote, *machName, *procs, *policyName, *jsonOut, flag.Args())
 		return
 	}
 
@@ -217,8 +210,7 @@ func main() {
 		res = img.Res
 	}
 
-	run, err := exec.Run(res, cfg, exec.Options{Policy: policy, Rec: rec,
-		Engine: engine, MaxQuanta: *maxQuanta})
+	run, err := exec.Run(res, cfg, exec.Options{Policy: policy, Rec: rec, MaxQuanta: *maxQuanta})
 	die(err)
 
 	// Normal exit: Recorder.Finish drained the stream at the final clock;
@@ -235,14 +227,6 @@ func main() {
 
 	fmt.Printf("machine: %s, %d processors (%d nodes), policy %s\n",
 		cfg.Name, cfg.NProcs, cfg.NNodes(), policy)
-	if run.EngineUsed == exec.EngineParallel {
-		causes := run.FallbackBreakdown()
-		if causes != "" {
-			causes = " [" + causes + "]"
-		}
-		fmt.Printf("engine:  parallel (%d epochs committed, %d serial fallbacks%s, %d sat out)\n",
-			run.EpochsCommitted, run.EpochsFallback, causes, run.EpochsSkipped)
-	}
 	fmt.Printf("cycles:  %d (%.6f s at %d MHz)\n", run.Cycles, run.Seconds(), cfg.ClockMHz)
 	if run.TimerCycles > 0 {
 		fmt.Printf("timed section: %d cycles (%.6f s)\n",
@@ -307,7 +291,7 @@ func serveWait(addr string) {
 
 // writeJSON emits the run's simulated statistics as the canonical
 // schema-versioned result document ("v": 1). Every field is a simulated
-// quantity, so the output is byte-identical across host engines
+// quantity, so the output is byte-identical across runs and hosts
 // (the CI smoke tests diff it), and byte-identical to what a dsmd service
 // caches and serves for the same job.
 func writeJSON(w *os.File, cfg *machine.Config, policy ospage.Policy, run *exec.Result) error {
@@ -318,7 +302,7 @@ func writeJSON(w *os.File, cfg *machine.Config, policy ospage.Policy, run *exec.
 // result document. The request mirrors the local defaults exactly
 // (O3, runtime checks on), so the service's document is byte-identical to
 // a local -json run of the same flags.
-func runRemote(base, machName string, procs int, policy, engine string, jsonOut bool, args []string) {
+func runRemote(base, machName string, procs int, policy string, jsonOut bool, args []string) {
 	srcs := map[string]string{}
 	for _, a := range args {
 		if strings.HasSuffix(a, ".img") {
@@ -334,7 +318,6 @@ func runRemote(base, machName string, procs int, policy, engine string, jsonOut 
 		Machine: machName,
 		Procs:   procs,
 		Policy:  policy,
-		Engine:  engine,
 	})
 	die(err)
 

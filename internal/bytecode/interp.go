@@ -222,9 +222,9 @@ func (t *Thread) Step(quantum int) Status {
 // the cycle bound is only consulted at instruction counts n with n&15 == 0,
 // *before* executing instruction n, comparing Clock+cyc-start >= maxCyc;
 // the break charges the pending cycles but counts the unexecuted iteration
-// in Instrs. Quantum boundaries feed the serial scheduler's round-robin
-// and the parallel engine's epoch validation, so a tier that breaks at
-// different points changes simulated arrival order.
+// in Instrs. Quantum boundaries feed the region scheduler's choice of the
+// next processor, so a tier that breaks at different points changes
+// simulated arrival order.
 //
 // Cycle and instruction counts accumulate in locals and are flushed at the
 // exits and before every memory or runtime call (the memory model's

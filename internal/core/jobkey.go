@@ -21,10 +21,9 @@ import (
 const JobKeyVersion = 1
 
 // JobSpec is everything that determines a run's simulated result. The
-// simulator is deterministic: PR 5/PR 7 guarantee results are bit-identical
-// across host engines and execution tiers, so those host-side choices are
-// deliberately NOT part of the spec — a result computed under any
-// engine/tier combination is valid for all of them. That purity is what
+// simulator is deterministic: results are bit-identical across execution
+// tiers, so that host-side choice is deliberately NOT part of the spec — a
+// result computed on either tier is valid for both. That purity is what
 // makes run results content-addressable and shareable across users.
 type JobSpec struct {
 	// Sources is the named source set, exactly as passed to
@@ -71,8 +70,8 @@ func CompileKey(sources map[string]string, opt xform.Options, runtimeChecks bool
 
 // JobKey digests a full run specification into the stable content-address
 // used for run results. Two jobs with the same key produce byte-identical
-// result documents, regardless of which host, engine, tier, or worker
-// count computes them. The derivation is frozen; see JobKeyVersion.
+// result documents, regardless of which host, tier, or worker count
+// computes them. The derivation is frozen; see JobKeyVersion.
 func JobKey(s JobSpec) string {
 	h := sha256.New()
 	// "redist-serial=false" is the value of a spec field that no longer

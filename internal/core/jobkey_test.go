@@ -64,8 +64,8 @@ func TestJobKeyGolden(t *testing.T) {
 }
 
 // TestJobKeySensitivity: every field that changes the simulated result must
-// change the key; the host-side engine/tier knobs are (by design) not part
-// of the spec at all.
+// change the key; the host-side tier knob is (by design) not part of the
+// spec at all.
 func TestJobKeySensitivity(t *testing.T) {
 	base := JobKey(goldenSpec())
 

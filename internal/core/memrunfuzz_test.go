@@ -14,20 +14,20 @@ import (
 	"dsmdist/internal/ospage"
 )
 
-// The engine fuzz harness: seeded random programs over doacross nests,
+// The memory-run fuzz harness: seeded random programs over doacross nests,
 // distribution specs, schedule types, explicit barriers, and redistributes,
-// each run under the serial and the parallel engine and compared
+// each run with memsim's run-batched fast path on and off and compared
 // bit-for-bit — per-processor stats, cycles, operation counters, the
 // profiler's region breakdown, and final array contents. Any divergence is
-// an engine bug by definition (the parallel engine's contract is exact
-// serial semantics).
+// a batching bug by definition (the batch's contract is exact word-loop
+// semantics).
 
 // fuzzSpecs are the distribution specs the generator draws from (the empty
 // spec leaves the array under the run's page policy).
 var fuzzSpecs = []string{"", "(*, block)", "(block, *)", "(cyclic(4), *)", "(*, cyclic(2))"}
 
 // fuzzScheds are schedule-type clauses; dynamic and gss go through
-// RTDynGrab, which the speculative engine must handle via serial fallback.
+// RTDynGrab.
 var fuzzScheds = []string{"", " schedtype(simple)", " schedtype(dynamic, 2)",
 	" schedtype(interleave, 3)", " schedtype(gss)"}
 
@@ -108,22 +108,17 @@ func genProgram(rng *rand.Rand) string {
 	return b.String()
 }
 
-// fuzzRun executes src under one engine and returns everything the
-// equivalence check compares.
-func fuzzRun(t *testing.T, src string, np int, eng exec.Engine) (*exec.Result, []byte, [][]float64) {
-	return fuzzRunTier(t, src, np, eng, exec.TierAuto)
-}
-
-// fuzzRunMem is fuzzRun with the memory-run batching switch pinned
-// ("on" or "off"); memsim reads DSM_MEMRUN at System construction.
-func fuzzRunMem(t *testing.T, src string, np int, eng exec.Engine, memrun string) (*exec.Result, []byte, [][]float64) {
+// fuzzRunMem executes src with the memory-run batching switch pinned ("on"
+// or "off"; memsim reads DSM_MEMRUN at System construction) and returns
+// everything the equivalence check compares.
+func fuzzRunMem(t *testing.T, src string, np int, memrun string) (*exec.Result, []byte, [][]float64) {
 	t.Setenv("DSM_MEMRUN", memrun)
-	return fuzzRunTier(t, src, np, eng, exec.TierAuto)
+	return fuzzRunTier(t, src, np, exec.TierAuto)
 }
 
-// fuzzRunTier is fuzzRun with an explicit execution tier (the tier fuzz
+// fuzzRunTier runs src on an explicit execution tier (the tier fuzz
 // harness pins both tiers; TierAuto is the compiled tier).
-func fuzzRunTier(t *testing.T, src string, np int, eng exec.Engine, tier exec.Tier) (*exec.Result, []byte, [][]float64) {
+func fuzzRunTier(t *testing.T, src string, np int, tier exec.Tier) (*exec.Result, []byte, [][]float64) {
 	t.Helper()
 	tc := New()
 	tc.RuntimeChecks = false
@@ -134,9 +129,9 @@ func fuzzRunTier(t *testing.T, src string, np int, eng exec.Engine, tier exec.Ti
 	cfg := machine.Tiny(np)
 	rec := obs.NewRecorder(cfg)
 	res, err := Run(image, cfg, RunOptions{
-		Policy: ospage.FirstTouch, Rec: rec, Engine: eng, Workers: 4, Tier: tier})
+		Policy: ospage.FirstTouch, Rec: rec, Tier: tier})
 	if err != nil {
-		t.Fatalf("%v engine %v tier P=%d: %v\n%s", eng, tier, np, err, src)
+		t.Fatalf("%v tier P=%d: %v\n%s", tier, np, err, src)
 	}
 	var sum bytes.Buffer
 	if err := rec.Summarize(10).WriteJSON(&sum); err != nil {
@@ -153,69 +148,36 @@ func fuzzRunTier(t *testing.T, src string, np int, eng exec.Engine, tier exec.Ti
 	return res, sum.Bytes(), arrays
 }
 
-// TestEngineFuzzSerialVsParallel is the randomized equivalence harness.
-func TestEngineFuzzSerialVsParallel(t *testing.T) {
+// TestMemRunFuzz is the randomized equivalence harness: memrun off must
+// reproduce memrun on in every simulated quantity.
+func TestMemRunFuzz(t *testing.T) {
 	seeds := []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}
 	procs := []int{1, 4, 16, 96}
 	if testing.Short() {
 		seeds = seeds[:6]
 		procs = []int{1, 4, 16}
 	}
-	// Scout-path coverage: how many epochs the parallel runs speculated.
-	// The speculation governor trades these away on programs that keep
-	// falling back (the seed list was doubled when it went in, to keep the
-	// total where it was); if either count reaches zero the harness has
-	// stopped testing the path it exists for.
-	var committed, fallback, skipped int64
-	defer func() {
-		t.Logf("speculated epochs: %d committed + %d fallback (%d sat out)", committed, fallback, skipped)
-		if committed == 0 || fallback == 0 {
-			t.Errorf("scout path not exercised (%d committed, %d fallback): add seeds", committed, fallback)
-		}
-	}()
 	for _, seed := range seeds {
 		src := genProgram(rand.New(rand.NewSource(seed)))
 		for _, np := range procs {
-			// The memory-run batch is a host optimization with the same
-			// contract as the engines: toggling it may not move a simulated
-			// cycle. Fuzz both settings, and pin serial/memrun-on as the
-			// single reference every other combination must match.
-			var ref *exec.Result
-			var refSum []byte
-			var refArr [][]float64
-			for _, memrun := range []string{"on", "off"} {
-				s, ssum, sarr := fuzzRunMem(t, src, np, exec.EngineSerial, memrun)
-				p, psum, parr := fuzzRunMem(t, src, np, exec.EngineParallel, memrun)
-				committed += p.EpochsCommitted
-				fallback += p.EpochsFallback
-				skipped += p.EpochsSkipped
-				if ref == nil {
-					ref, refSum, refArr = s, ssum, sarr
-				}
-				for _, run := range []struct {
-					eng string
-					r   *exec.Result
-					sum []byte
-					arr [][]float64
-				}{{"serial", s, ssum, sarr}, {"parallel", p, psum, parr}} {
-					label := fmt.Sprintf("seed=%d P=%d engine=%s memrun=%s", seed, np, run.eng, memrun)
-					if ref.Cycles != run.r.Cycles {
-						t.Errorf("%s: cycles %d vs %d\n%s", label, ref.Cycles, run.r.Cycles, src)
-						continue
-					}
-					if !reflect.DeepEqual(ref.Stats, run.r.Stats) || ref.Total != run.r.Total {
-						t.Errorf("%s: proc stats diverge\n%s", label, src)
-					}
-					if ref.HwDiv != run.r.HwDiv || ref.SoftDiv != run.r.SoftDiv || ref.Instrs != run.r.Instrs {
-						t.Errorf("%s: op counters diverge\n%s", label, src)
-					}
-					if !bytes.Equal(refSum, run.sum) {
-						t.Errorf("%s: region breakdowns diverge\n%s", label, src)
-					}
-					if !reflect.DeepEqual(refArr, run.arr) {
-						t.Errorf("%s: final array contents diverge\n%s", label, src)
-					}
-				}
+			ref, refSum, refArr := fuzzRunMem(t, src, np, "on")
+			r, sum, arr := fuzzRunMem(t, src, np, "off")
+			label := fmt.Sprintf("seed=%d P=%d memrun=off", seed, np)
+			if ref.Cycles != r.Cycles {
+				t.Errorf("%s: cycles %d vs %d\n%s", label, ref.Cycles, r.Cycles, src)
+				continue
+			}
+			if !reflect.DeepEqual(ref.Stats, r.Stats) || ref.Total != r.Total {
+				t.Errorf("%s: proc stats diverge\n%s", label, src)
+			}
+			if ref.HwDiv != r.HwDiv || ref.SoftDiv != r.SoftDiv || ref.Instrs != r.Instrs {
+				t.Errorf("%s: op counters diverge\n%s", label, src)
+			}
+			if !bytes.Equal(refSum, sum) {
+				t.Errorf("%s: region breakdowns diverge\n%s", label, src)
+			}
+			if !reflect.DeepEqual(refArr, arr) {
+				t.Errorf("%s: final array contents diverge\n%s", label, src)
 			}
 		}
 	}

@@ -26,7 +26,7 @@ type ArrayTraffic struct {
 // ResultDoc is the machine-readable record of a completed run — the
 // document dsmrun -json prints and the dsmd result cache stores. Every
 // field is a simulated quantity, so for a given JobSpec the document is
-// byte-identical across host engines, execution tiers, and machines: that
+// byte-identical across execution tiers and hosts: that
 // determinism is what makes it a valid content-addressed cache value.
 type ResultDoc struct {
 	V           int                `json:"v"`

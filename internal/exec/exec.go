@@ -5,19 +5,15 @@
 // every region (paper §3.1 "an implicit barrier at the end of the doacross
 // loop"); explicit dsm_barrier calls rendezvous inside regions.
 //
-// Two engines execute regions: the serial engine interleaves all simulated
-// processors on one goroutine; the parallel engine (parallel.go) runs them
-// on real host cores in speculative epochs. Both are bit-identical in every
-// simulated cycle, stat, and recorder event.
+// A run is one goroutine: every simulated processor of a region is
+// interleaved on it by the region loop in region.go.
 package exec
 
 import (
 	"fmt"
-	"strings"
 
 	"dsmdist/internal/bytecode"
 	"dsmdist/internal/codegen"
-	"dsmdist/internal/hostpool"
 	"dsmdist/internal/machine"
 	"dsmdist/internal/memsim"
 	"dsmdist/internal/obs"
@@ -43,14 +39,10 @@ type Options struct {
 	// option: only experiments.Redist (dsmbench -exp redist, the A/B
 	// EXPERIMENTS.md reports) and the redistribute tests set it.
 	RedistSerial bool
-	// Engine selects the host execution engine (serial, parallel, auto).
-	// Results are bit-identical either way; see Engine.
+	// Engine is ignored.
+	//
+	// Deprecated: see Engine.
 	Engine Engine
-	// Workers fixes the number of host goroutines the parallel engine may
-	// use per region. 0 (the default) draws from the shared hostpool
-	// budget each region, cooperating with experiments.ForEach; the
-	// DSM_WORKERS environment variable fills an unset value.
-	Workers int
 	// Tier pins the bytecode interpreter for identity tests and bench/'s
 	// oracle; everything else leaves it zero (compiled). See Tier.
 	Tier Tier
@@ -74,37 +66,18 @@ type Result struct {
 	// program never called the timer.
 	TimerCycles int64
 
-	// EngineUsed is the engine that actually ran (after auto/env
-	// resolution); diagnostics only.
+	// EngineUsed is always EngineSerial.
+	//
+	// Deprecated: see Engine.
 	EngineUsed Engine
 	// TierUsed is the execution tier that actually ran (Options.Tier
 	// resolved); diagnostics only.
 	TierUsed Tier
-	// EpochsCommitted / EpochsFallback count the parallel engine's
-	// speculative epochs that published vs. re-ran serially;
-	// FallbackCauses splits the fallbacks by memsim.AbortReason, and
-	// EpochsSkipped is how many epochs the speculation governor sat out
-	// after them (each sit-out counted in full even when the region ended
-	// inside it). All zero under the serial engine. Host-side diagnostics
-	// only: they never enter core.ResultDoc, core.JobKey or the series
-	// rows, which are engine-independent.
+	// EpochsCommitted and EpochsFallback are always 0.
+	//
+	// Deprecated: see Engine.
 	EpochsCommitted int64
 	EpochsFallback  int64
-	EpochsSkipped   int64
-	FallbackCauses  [memsim.NumAbortReasons]int64
-}
-
-// FallbackBreakdown renders FallbackCauses as "9 intervention, 4
-// validation": causes in memsim.AbortReason order, zero counts omitted,
-// empty when nothing fell back.
-func (r *Result) FallbackBreakdown() string {
-	var parts []string
-	for cause, n := range r.FallbackCauses {
-		if n > 0 {
-			parts = append(parts, fmt.Sprintf("%d %v", n, memsim.AbortReason(cause)))
-		}
-	}
-	return strings.Join(parts, ", ")
 }
 
 // Seconds converts the run's cycles to seconds on the simulated clock.
@@ -137,10 +110,7 @@ func RunLoaded(rt *rtl.Runtime, opts Options) (*Result, error) {
 	if maxQuanta <= 0 {
 		maxQuanta = 1 << 34
 	}
-	engine := resolveEngine(opts.Engine, cfg.NProcs)
 	tier := opts.Tier.Resolve()
-	workers := resolveWorkers(opts.Workers)
-	gov := governor{}
 	costs := bytecode.NewCosts(cfg)
 
 	// Derived per-function metadata (out-arg buffer sizes); idempotent,
@@ -155,7 +125,7 @@ func RunLoaded(rt *rtl.Runtime, opts Options) (*Result, error) {
 		rt.StackBase[0], rt.StackEnd[0])
 	serial.UseCompiled(cp)
 
-	acc := &Result{RT: rt, EngineUsed: engine, TierUsed: tier}
+	acc := &Result{RT: rt, EngineUsed: EngineSerial, TierUsed: tier}
 	var rounds int64
 	for {
 		rounds++
@@ -176,38 +146,12 @@ func RunLoaded(rt *rtl.Runtime, opts Options) (*Result, error) {
 		case bytecode.AtBarrier:
 			// A barrier in serial code synchronizes nothing.
 		case bytecode.AtParCall:
-			var err error
-			if engine == EngineParallel {
-				err = runRegionWithWorkers(rt, costs, serial, quantum, maxQuanta, workers, gov, acc)
-			} else {
-				err = runRegion(rt, costs, serial, quantum, maxQuanta, acc)
-			}
-			if err != nil {
+			if err := runRegion(rt, costs, serial, quantum, maxQuanta, acc); err != nil {
 				return nil, err
 			}
 			serial.Resume()
 		}
 	}
-}
-
-// runRegionWithWorkers sizes the parallel engine's worker set for one
-// region and runs it. With Workers unset we draw extra workers from the
-// shared hostpool budget (the caller's goroutine is always one worker);
-// an explicit Workers bypasses the pool so tests can force concurrency on
-// small hosts.
-func runRegionWithWorkers(rt *rtl.Runtime, costs *bytecode.Costs, serial *bytecode.Thread,
-	quantum int, maxQuanta int64, workers int, gov governor, acc *Result) error {
-
-	np := rt.Cfg.NProcs
-	if workers <= 0 {
-		extra := hostpool.Acquire(np - 1)
-		defer hostpool.Release(extra)
-		workers = 1 + extra
-	}
-	if workers > np {
-		workers = np
-	}
-	return runRegionParallel(rt, costs, serial, quantum, maxQuanta, workers, gov, acc)
 }
 
 func finish(r *Result) {
@@ -223,13 +167,4 @@ func finish(r *Result) {
 		}
 	}
 	rt.Rec.Finish(r.Cycles)
-}
-
-// Speedup is a convenience for experiment harnesses: serial cycles over
-// parallel cycles.
-func Speedup(serialCycles, parallelCycles int64) float64 {
-	if parallelCycles == 0 {
-		return 0
-	}
-	return float64(serialCycles) / float64(parallelCycles)
 }

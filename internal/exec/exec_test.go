@@ -11,7 +11,7 @@ import (
 	"dsmdist/internal/xform"
 )
 
-func runSrc(t *testing.T, src string, nprocs int) (*Result, error) {
+func compileSrc(t *testing.T, src string) *link.Image {
 	t.Helper()
 	o, err := obj.Compile("x.f", src)
 	if err != nil {
@@ -21,7 +21,12 @@ func runSrc(t *testing.T, src string, nprocs int) (*Result, error) {
 	if err != nil {
 		t.Fatalf("link: %v", err)
 	}
-	return Run(img.Res, machine.Tiny(nprocs), Options{Policy: ospage.FirstTouch})
+	return img
+}
+
+func runSrc(t *testing.T, src string, nprocs int) (*Result, error) {
+	t.Helper()
+	return Run(compileSrc(t, src).Res, machine.Tiny(nprocs), Options{Policy: ospage.FirstTouch})
 }
 
 func TestExplicitBarrierInsideRegion(t *testing.T) {
@@ -136,12 +141,6 @@ func TestTimerMeasuresSection(t *testing.T) {
 	}
 }
 
-func TestSpeedupHelper(t *testing.T) {
-	if Speedup(100, 25) != 4.0 || Speedup(100, 0) != 0 {
-		t.Fatal("Speedup wrong")
-	}
-}
-
 func TestSerialBarrierIsNoop(t *testing.T) {
 	res, err := runSrc(t, `
       program p
@@ -182,5 +181,58 @@ c$doacross local(i) shared(a)
 		if v != 10.0 {
 			t.Fatalf("a[%d] = %v", i, v)
 		}
+	}
+}
+
+// mixedSrc mixes distributed arrays, a barrier rendezvous inside a region,
+// a redistribute, integer divides and a serial tail between regions.
+const mixedSrc = `
+      program p
+      integer n
+      parameter (n = 96)
+      real*8 a(n, n), b(n)
+c$distribute a(*, block)
+      integer i, j, it
+c$doacross nest(j, i) local(i, j) shared(a) affinity(j, i) = data(a(i, j))
+      do j = 1, n
+        do i = 1, n
+          a(i, j) = dble(i) + dble(j)
+        end do
+      end do
+      do it = 1, 2
+c$doacross local(i, j) shared(a) affinity(j) = data(a(1, j))
+      do j = 1, n
+        do i = 2, n
+          a(i, j) = a(i, j) + a(i-1, j) * 0.5
+        end do
+      end do
+      end do
+c$redistribute a(block, *)
+c$doacross local(i, j) shared(a) affinity(i) = data(a(i, 1))
+      do i = 1, n
+        do j = 2, n
+          a(i, j) = a(i, j) + a(i, j-1) * 0.5
+        end do
+      end do
+c$doacross local(i) shared(b)
+      do i = 1, n
+        b(i) = dble(mod(i * 7, 13)) / dble(i)
+        call dsm_barrier
+        b(i) = b(i) + b(mod(i, n) + 1) * 1.0d-9
+      end do
+      end
+`
+
+// TestQuantumBudgetErrorNamesFlag checks the runaway guard reports the
+// limit and how to raise it.
+func TestQuantumBudgetErrorNamesFlag(t *testing.T) {
+	img := compileSrc(t, mixedSrc)
+	_, err := Run(img.Res, machine.Tiny(4), Options{
+		Policy:    ospage.FirstTouch,
+		MaxQuanta: 8,
+	})
+	if err == nil || !strings.Contains(err.Error(), "quantum budget of 8") ||
+		!strings.Contains(err.Error(), "-max-quanta") {
+		t.Errorf("budget error = %v", err)
 	}
 }

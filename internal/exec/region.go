@@ -11,15 +11,13 @@ import (
 
 // cycleQuantum bounds how far (in cycles) one processor may run ahead of
 // the others inside a region; it must stay small relative to the memsim
-// bandwidth-window ring so contention is observed accurately. It is also
-// the epoch length of the parallel engine.
+// bandwidth-window ring so contention is observed accurately. It is part
+// of the simulated arrival order: changing it moves every golden.
 const cycleQuantum = 4000
 
-// regionRun is the execution state of one doacross region, shared by the
-// serial and parallel engines. The serial engine is exactly
-// serialWindow(maxInt64); the parallel engine interleaves speculative
-// epochs with serialWindow(epochEnd) fallbacks over the same state, which
-// is what makes the fallback path bit-identical by construction.
+// regionRun is the execution state of one doacross region: one thread per
+// simulated processor, all stepped on the caller's goroutine by
+// serialWindow.
 type regionRun struct {
 	rt        *rtl.Runtime
 	sys       *memsim.System
@@ -38,11 +36,9 @@ type regionRun struct {
 
 // newRegionRun performs the fork prologue: clocks join the master, every
 // processor pays the dispatch cost, and one thread per processor is
-// created to run the region function. rtif is the Runtime interface the
-// threads dispatch RTCs through (the parallel engine wraps rt in a scout
-// gate).
+// created to run the region function.
 func newRegionRun(rt *rtl.Runtime, costs *bytecode.Costs, serial *bytecode.Thread,
-	quantum int, maxQuanta int64, rtif bytecode.Runtime) *regionRun {
+	quantum int, maxQuanta int64) *regionRun {
 
 	cfg := rt.Cfg
 	np := cfg.NProcs
@@ -75,7 +71,7 @@ func newRegionRun(rt *rtl.Runtime, costs *bytecode.Costs, serial *bytecode.Threa
 		if p == 0 {
 			sp = serial.SP // above the serial frames
 		}
-		threads[p] = bytecode.NewThread(p, sys, rt.Prog, rtif, costs, serial.ParFn, args, sp, end)
+		threads[p] = bytecode.NewThread(p, sys, rt.Prog, rt, costs, serial.ParFn, args, sp, end)
 		threads[p].UseCompiled(serial.CompiledTier())
 	}
 
@@ -192,12 +188,11 @@ func (rr *regionRun) finishRegion(acc *Result) error {
 	return nil
 }
 
-// runRegion is the serial engine's region executor: the unbounded serial
-// window.
+// runRegion executes one doacross region: the unbounded serial window.
 func runRegion(rt *rtl.Runtime, costs *bytecode.Costs, serial *bytecode.Thread,
 	quantum int, maxQuanta int64, acc *Result) error {
 
-	rr := newRegionRun(rt, costs, serial, quantum, maxQuanta, rt)
+	rr := newRegionRun(rt, costs, serial, quantum, maxQuanta)
 	if err := rr.serialWindow(1 << 62); err != nil {
 		return err
 	}

@@ -8,11 +8,11 @@ package exec
 // dsmd job or a sweep makes executes on the compiled tier; no flag,
 // environment variable or request field reaches this type. The classic
 // interpreter stays as the in-process reference that core's identity
-// fuzzers (TestTierFuzzClassicVsCompiled, TestEngineFuzzSerialVsParallel)
+// fuzzers (TestTierFuzzClassicVsCompiled, TestMemRunFuzz)
 // and bench/'s oracle pin through Options.Tier, and as the member list the
 // compiled tier replays for exact mid-span traps. Both are
 // bit-identical in simulated behavior — every charged cycle, stat counter,
-// trap message and quantum break point — and compose with either Engine.
+// trap message and quantum break point.
 type Tier int
 
 const (

@@ -50,12 +50,13 @@ type Sizes struct {
 	// 1 = serial). Each point builds its own simulated machine, so Par
 	// affects host wall time only: the rows — cycles, counters, order —
 	// are bit-identical at any setting
-	// (TestSweepDeterministicUnderParallelism). Sweep workers and the
-	// parallel engine's region workers draw from the same budget, so the
-	// two levels of host parallelism never oversubscribe the machine.
+	// (TestSweepDeterministicUnderParallelism). Sweep workers and dsmd's
+	// running jobs draw from the same budget, so a sweep never
+	// oversubscribes the machine.
 	Par int
-	// Engine selects the host execution engine for every point (see
-	// exec.Engine); rows are bit-identical across engines.
+	// Engine is ignored.
+	//
+	// Deprecated: see exec.Engine.
 	Engine exec.Engine
 	// Tier pins the bytecode interpreter for every point. No command
 	// sets it; bench/ does, to take its sweeps on a stated tier (see
@@ -117,7 +118,7 @@ type Row struct {
 	HwDiv   int64   `json:"hw_div"`
 	SoftDiv int64   `json:"soft_div"`
 	// Instrs counts bytecode instructions executed across all threads —
-	// a pure simulated quantity (identical across engines and tiers) that
+	// a pure simulated quantity (identical across tiers) that
 	// also anchors host-throughput numbers (instrs / wall_ms).
 	Instrs int64 `json:"instrs"`
 	// RedistCyc is the wall-clock cycles spent inside c$redistribute
@@ -155,7 +156,7 @@ func figureVariants() []variantRun {
 // sweep, may be nil) deduplicates compiles of identical (source, options)
 // variants; every call still loads and runs its own image.
 func runOne(cache *core.BuildCache, src string, opt xform.Options, cfg *machine.Config,
-	policy ospage.Policy, eng exec.Engine, tier exec.Tier) (*exec.Result, error) {
+	policy ospage.Policy, tier exec.Tier) (*exec.Result, error) {
 	tc := core.NewAt(opt)
 	tc.RuntimeChecks = false // measurement runs, as in the paper
 	tc.Cache = cache
@@ -163,15 +164,13 @@ func runOne(cache *core.BuildCache, src string, opt xform.Options, cfg *machine.
 	if err != nil {
 		return nil, err
 	}
-	return core.Run(img, cfg, core.RunOptions{Policy: policy, Engine: eng, Tier: tier})
+	return core.Run(img, cfg, core.RunOptions{Policy: policy, Tier: tier})
 }
 
 // ForEach runs jobs 0..n-1 over a bounded host worker set. The caller's
 // goroutine is always one worker; extra workers are drawn from the shared
-// hostpool budget (default GOMAXPROCS), the same budget the parallel
-// execution engine draws region workers from — so sweep-level and
-// engine-level host parallelism compose without oversubscribing the
-// machine. par > 0 additionally caps this job's draw (1 = strictly
+// hostpool budget (default GOMAXPROCS), the same budget dsmd's scheduler
+// draws from, so a sweep never oversubscribes the machine. par > 0 additionally caps this job's draw (1 = strictly
 // serial); par <= 0 takes whatever the budget allows. Results must be
 // written to preallocated per-index slots so output order never depends on
 // scheduling; the error returned is the one from the lowest-numbered
@@ -319,7 +318,7 @@ func Table2(s Sizes) ([]Row, error) {
 	err := ForEachProgress(s.Par, len(steps), func(i int) error {
 		st := steps[i]
 		t0 := time.Now()
-		res, err := runOne(cache, src(st.v), st.opt, cfg(), ospage.FirstTouch, s.Engine, s.Tier)
+		res, err := runOne(cache, src(st.v), st.opt, cfg(), ospage.FirstTouch, s.Tier)
 		if err != nil {
 			return fmt.Errorf("table2 %s: %w", st.label, err)
 		}
@@ -402,7 +401,7 @@ func sweep(exp, preset string, gen func(workloads.Variant) string, s Sizes,
 	}
 	cache := core.NewBuildCache()
 	baseCfg := mkCfg(1)
-	baseRes, err := runOne(cache, gen(workloads.Serial), xform.O3(), baseCfg, ospage.FirstTouch, s.Engine, s.Tier)
+	baseRes, err := runOne(cache, gen(workloads.Serial), xform.O3(), baseCfg, ospage.FirstTouch, s.Tier)
 	if err != nil {
 		return nil, fmt.Errorf("%s serial baseline: %w", exp, err)
 	}
@@ -424,7 +423,7 @@ func sweep(exp, preset string, gen func(workloads.Variant) string, s Sizes,
 		pt := points[i]
 		cfg := mkCfg(pt.p)
 		t0 := time.Now()
-		res, err := runOne(cache, gen(pt.vr.variant), pt.vr.opt, cfg, pt.vr.policy, s.Engine, s.Tier)
+		res, err := runOne(cache, gen(pt.vr.variant), pt.vr.opt, cfg, pt.vr.policy, s.Tier)
 		if err != nil {
 			return fmt.Errorf("%s %s P=%d: %w", exp, pt.vr.label, pt.p, err)
 		}

@@ -11,8 +11,8 @@ import (
 
 // TestForEachSharesHostBudget pins the shared-budget contract: ForEach's
 // workers (caller included) never exceed the hostpool budget, and a nested
-// Acquire from inside a job — which is what the parallel execution engine
-// does per region — draws from the same pool instead of multiplying it.
+// Acquire from inside a job draws from the same pool instead of
+// multiplying it.
 func TestForEachSharesHostBudget(t *testing.T) {
 	prev := hostpool.SetBudget(3)
 	defer hostpool.SetBudget(prev)
@@ -27,8 +27,8 @@ func TestForEachSharesHostBudget(t *testing.T) {
 			peak.Store(c)
 		}
 		mu.Unlock()
-		// A nested draw (the engine's per-region acquire) must see the
-		// sweep's workers already charged against the budget.
+		// A nested draw must see the sweep's workers already charged
+		// against the budget.
 		extra := hostpool.Acquire(8)
 		if got := int32(extra) + cur.Load(); got > 3 {
 			hostpool.Release(extra)

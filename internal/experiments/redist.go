@@ -90,7 +90,7 @@ func Redist(s Sizes) ([]Row, error) {
 		}
 		res, err := core.Run(img, cfg, core.RunOptions{
 			Policy: ospage.FirstTouch, Rec: rec,
-			RedistSerial: modes[pt.mode].serial, Engine: s.Engine, Tier: s.Tier})
+			RedistSerial: modes[pt.mode].serial, Tier: s.Tier})
 		if err != nil {
 			return fmt.Errorf("redist n=%d %s %s P=%d: %w",
 				pt.n, pt.pair.Label, modes[pt.mode].label, pt.p, err)

@@ -1,12 +1,11 @@
 // Package hostpool is the process-wide budget for *host* parallelism.
 //
-// Two layers of the harness want to spawn goroutines that burn a real CPU
-// each: experiment sweeps (`experiments.ForEach`, dsmbench -par N) and the
-// parallel execution engine (`exec` running one scout goroutine per
-// simulated processor). Composed naively a sweep at -par N over points at
-// P processors would spawn N×P workers; instead both layers draw *extra*
-// workers from this single counting budget and fall back to doing the work
-// on their own goroutine when the pool is dry.
+// Two parts of the harness run simulations side by side, one goroutine
+// each: experiment sweeps (`experiments.ForEach`, dsmbench -par N, the
+// advisor's candidate verification) and the dsmd job scheduler. Both draw
+// *extra* workers from this single counting budget and fall back to doing
+// the work on their own goroutine when the pool is dry, so a sweep and
+// daemon jobs in one process never oversubscribe the host.
 //
 // The convention: every caller implicitly owns the goroutine it is already
 // running on, so a budget of B means "at most B goroutines working at
@@ -94,6 +93,8 @@ func InUse() int {
 // Peak returns the high-water mark of granted extras since the last
 // ResetPeak. Peak+1 bounds the number of goroutines that were ever
 // working concurrently (the +1 is the caller's own).
+//
+// Deprecated: kept only because the benchmark harness still reads it.
 func Peak() int {
 	mu.Lock()
 	defer mu.Unlock()
@@ -101,6 +102,8 @@ func Peak() int {
 }
 
 // ResetPeak clears the high-water mark (test hook).
+//
+// Deprecated: kept only because the benchmark harness still calls it.
 func ResetPeak() {
 	mu.Lock()
 	defer mu.Unlock()

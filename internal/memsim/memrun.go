@@ -80,23 +80,11 @@ func (s *System) AccessRun(p int, addr, stride int64, count int, write bool, pre
 // (which must hold at least count words). Bit-identical to the
 // equivalent LoadWord loop.
 func (s *System) LoadRun(p int, addr, stride int64, count int, pre []int64, out []uint64) {
-	pr := s.procs[p]
-	n := s.runWalk(p, pr, addr, stride, count, false, pre)
+	s.runWalk(p, s.procs[p], addr, stride, count, false, pre)
 	// The walk never touches the backing store, so gathering after it is
 	// the same data the interleaved loop would have read.
 	a := addr
-	if sc := pr.sc; sc != nil {
-		for i := 0; i < n; i++ {
-			out[i] = sc.loadMem(s, a)
-			a += stride
-		}
-		// Words at and after an abort read as zero, as in the word loop.
-		for i := n; i < count; i++ {
-			out[i] = 0
-		}
-		return
-	}
-	for i := 0; i < n; i++ {
+	for i := 0; i < count; i++ {
 		out[i] = s.mem[a>>3]
 		a += stride
 	}
@@ -106,18 +94,9 @@ func (s *System) LoadRun(p int, addr, stride int64, count int, pre []int64, out 
 // to the equivalent StoreWord loop (on overlapping addresses the last
 // store wins, as in the loop).
 func (s *System) StoreRun(p int, addr, stride int64, count int, pre []int64, vals []uint64) {
-	pr := s.procs[p]
-	n := s.runWalk(p, pr, addr, stride, count, true, pre)
+	s.runWalk(p, s.procs[p], addr, stride, count, true, pre)
 	a := addr
-	if sc := pr.sc; sc != nil {
-		// The aborting word and everything after it store nothing.
-		for i := 0; i < n; i++ {
-			sc.mem.store(a>>3, vals[i])
-			a += stride
-		}
-		return
-	}
-	for i := 0; i < n; i++ {
+	for i := 0; i < count; i++ {
 		s.mem[a>>3] = vals[i]
 		a += stride
 	}
@@ -156,25 +135,18 @@ func groupEnd(pr *proc, a, stride int64, i, count int, l1line int64) int {
 	return last
 }
 
-// runWalk performs the simulation-state part of a run (no data movement)
-// and returns the number of words completed: count, except that a scout
-// that aborts on word k (or was aborted already) stops there and returns k
-// — the remaining words would all be no-ops. Scouts always take the word
-// loop, which keeps the scout context out of the lean loop below.
-func (s *System) runWalk(p int, pr *proc, addr, stride int64, count int, write bool, pre []int64) int {
-	if sc := pr.sc; sc != nil || !pr.leanRun || stride < 0 || count < 2 {
+// runWalk performs the simulation-state part of a run (no data movement).
+func (s *System) runWalk(p int, pr *proc, addr, stride int64, count int, write bool, pre []int64) {
+	if !pr.leanRun || stride < 0 || count < 2 {
 		a := addr
 		for i := 0; i < count; i++ {
 			if pre != nil {
 				pr.clock += pre[i]
 			}
 			s.accessWord(p, pr, a, write)
-			if sc != nil && sc.aborted {
-				return i
-			}
 			a += stride
 		}
-		return max(count, 0)
+		return
 	}
 	i := 0
 	for i < count {
@@ -218,5 +190,4 @@ func (s *System) runWalk(p int, pr *proc, addr, stride int64, count int, write b
 		}
 		i = last + 1
 	}
-	return count
 }

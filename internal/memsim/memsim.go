@@ -188,15 +188,12 @@ func (c *cache) insert(line int64) (victim int64, slot int, victimExcl bool) {
 	return victim, base + w, victimExcl
 }
 
-// invalidate removes the line if present, returning the slot it held (or
-// -1) and whether it was held exclusive.
-func (c *cache) invalidate(line int64) (slot int, excl bool) {
-	if slot = c.lookup(line); slot >= 0 {
-		excl = c.excl[slot]
+// invalidate removes the line if present.
+func (c *cache) invalidate(line int64) {
+	if slot := c.lookup(line); slot >= 0 {
 		c.tags[slot] = -1
 		c.excl[slot] = false
 	}
-	return slot, excl
 }
 
 // tlb models a FIFO-replacement TLB. Membership lives in slot, a flat
@@ -227,10 +224,8 @@ func newTLB(n int) *tlb {
 }
 
 // access returns true on hit, inserting on miss (FIFO replacement). Virtual
-// page 0 is never mapped (null guard), so a zero fifo slot means empty. A
-// scout (sc non-nil) journals the refill; growth of the membership table
-// needs no undo, since new cells are zero and zero means absent.
-func (t *tlb) access(vpage int64, sc *scoutCtx) bool {
+// page 0 is never mapped (null guard), so a zero fifo slot means empty.
+func (t *tlb) access(vpage int64) bool {
 	if vpage == t.last && !t.noMemo {
 		return true
 	}
@@ -239,7 +234,6 @@ func (t *tlb) access(vpage int64, sc *scoutCtx) bool {
 		return true
 	}
 	old := t.fifo[t.pos]
-	sc.jTLB(t.pos, old)
 	if old != 0 {
 		t.slot[old] = 0 // resident pages are always inside the table
 		if old == t.last {
@@ -310,12 +304,6 @@ type proc struct {
 	// (System.SetMemRun / DSM_MEMRUN); cleared per-proc for the same
 	// reason noMemo is.
 	leanRun bool
-
-	// sc, when non-nil, routes this processor's accesses through scout
-	// mode (speculative epoch of the parallel engine; see scout.go).
-	// scSpare parks the context between epochs for reuse.
-	sc      *scoutCtx
-	scSpare *scoutCtx
 }
 
 // System is the shared memory system for one simulated run.
@@ -350,15 +338,6 @@ type System struct {
 	// a recorder is cycle-for-cycle identical.
 	rec *obs.Recorder
 
-	// Scout-epoch validation state (see scout.go): a monotone epoch
-	// counter and a per-directory-line claim table stamped
-	// epoch<<8|proc+1 so disjointness checks need no clearing.
-	scoutEpoch int64
-	claim      []int64
-	// bwTotal is ValidateScouts' per-(node, window) booking sum, kept
-	// between epochs so a validation allocates nothing.
-	bwTotal map[int64]int32
-
 	// reserved is the heap size in bytes that the arrays behind mem, dir
 	// and pageMiss have room for (Reserve); brk never exceeds it.
 	reserved int64
@@ -391,10 +370,8 @@ type nodeBW struct {
 }
 
 // reserve books one cache-line service on the node at time t, returning the
-// queuing delay. A scout (sc non-nil) leaves the shared ring untouched: it
-// books into its own ledger and counts that ledger on top of the frozen ring.
-// A stale ring slot (epoch mismatch) reads as empty either way.
-func (s *System) reserve(sc *scoutCtx, node int, t int64) int64 {
+// queuing delay. A stale ring slot (epoch mismatch) reads as empty.
+func (s *System) reserve(node int, t int64) int64 {
 	if s.bwCap <= 0 {
 		return 0
 	}
@@ -407,16 +384,8 @@ func (s *System) reserve(sc *scoutCtx, node int, t int64) int64 {
 		if b.epoch[idx] == wk {
 			used = b.used[idx]
 		}
-		if sc != nil {
-			used += sc.bwBook[bwKey(node, wk)]
-		}
 		if used < s.bwCap {
-			if sc != nil {
-				sc.bwBook[bwKey(node, wk)]++
-			} else {
-				b.epoch[idx], b.used[idx] = wk, used+1
-			}
-			sc.noteBW(node, k > 0)
+			b.epoch[idx], b.used[idx] = wk, used+1
 			if k == 0 {
 				return 0
 			}
@@ -424,7 +393,6 @@ func (s *System) reserve(sc *scoutCtx, node int, t int64) int64 {
 		}
 	}
 	// Saturated far beyond the ring: charge a full ring of delay.
-	sc.noteBW(node, true)
 	return int64(bwRing) * s.bwWindow
 }
 
@@ -596,14 +564,8 @@ func (s *System) Barrier(procs []int) {
 }
 
 // invalidateOthers removes the L2 line (and contained L1 lines) from every
-// sharer except req, charging coherence latency to the requester. A scout
-// cannot express writes to other processors' caches as an overlay, so it
-// aborts instead (ok false).
-func (s *System) invalidateOthers(sc *scoutCtx, req int, d *dirEntry, line int64) (extra int64, ok bool) {
-	if sc != nil {
-		sc.abort(AbortInvalidation)
-		return 0, false
-	}
+// sharer except req, charging coherence latency to the requester.
+func (s *System) invalidateOthers(req int, d *dirEntry, line int64) (extra int64) {
 	n := 0
 	for p := 0; p < len(s.procs); p++ {
 		if p == req || !d.has(p) {
@@ -630,26 +592,22 @@ func (s *System) invalidateOthers(sc *scoutCtx, req int, d *dirEntry, line int64
 	if d.owner >= 0 && int(d.owner) != req {
 		d.owner = -1
 	}
-	return extra, true
+	return extra
 }
 
 // evictL2 handles replacement of an L2 line from processor p's cache:
 // directory bookkeeping, inclusion invalidation of the L1 sublines, and a
 // writeback count when the line was exclusive.
-func (s *System) evictL2(sc *scoutCtx, p int, victim int64, wasExcl bool) {
+func (s *System) evictL2(p int, victim int64, wasExcl bool) {
 	pr := s.procs[p]
-	var dbuf dirEntry
-	d := sc.openDir(s, victim, &dbuf)
+	d := &s.dir[victim]
 	d.clear(p)
 	if d.owner == int32(p) {
 		d.owner = -1
 	}
-	sc.closeDir(victim, d)
 	base := victim * int64(s.l1Per2)
 	for k := int64(0); k < int64(s.l1Per2); k++ {
-		if slot, excl := pr.l1.invalidate(base + k); slot >= 0 {
-			sc.jCachePost(pr.l1, slot, base+k, excl)
-		}
+		pr.l1.invalidate(base + k)
 	}
 	if wasExcl {
 		pr.stats.Writebacks++
@@ -668,21 +626,9 @@ func (pr *proc) remember(l1line int64, slot int) {
 // Access simulates one 8-byte load or store by processor p at virtual
 // address addr, advancing p's clock by the modeled latency. It does not
 // touch the backing store; LoadWord/StoreWord wrap it with data movement.
-//
-// This is the only copy of the cost walk. When p is a scout (pr.sc non-nil;
-// see scout.go) the same walk runs with shared state read-only: each sc.*
-// call below is a no-op on a nil scout, and otherwise journals a private
-// cell before it is overwritten or routes a shared write to the scout's
-// overlay. At the three steps with no overlay form — first touch of an
-// unmapped page, cache-to-cache intervention, invalidating other sharers
-// (invalidateOthers) — a scout aborts and returns; once aborted, its
-// accesses do nothing.
+// This is the only copy of the cost walk.
 func (s *System) Access(p int, addr int64, write bool) {
 	pr := s.procs[p]
-	sc := pr.sc
-	if sc != nil && sc.aborted {
-		return
-	}
 	cfg := s.Cfg
 	l1line := addr >> pr.l1.shift
 	if write {
@@ -698,21 +644,14 @@ func (s *System) Access(p int, addr int64, write bool) {
 		}
 		// Write to a shared line: upgrade through the directory.
 		l2line := addr >> s.l2Shift
-		var dbuf dirEntry
-		d := sc.openDir(s, l2line, &dbuf)
+		d := &s.dir[l2line]
 		var lat int64
 		if d.othersThan(p) {
-			var ok bool
-			if lat, ok = s.invalidateOthers(sc, p, d, l2line); !ok {
-				return
-			}
+			lat = s.invalidateOthers(p, d, l2line)
 		}
 		d.owner = int32(p)
-		sc.closeDir(l2line, d)
-		sc.jCache(pr.l1, slot)
 		pr.l1.excl[slot] = true
 		if l2s := pr.l2.lookup(l2line); l2s >= 0 {
-			sc.jCache(pr.l2, l2s)
 			pr.l2.excl[l2s] = true
 		}
 		pr.clock += lat
@@ -721,67 +660,38 @@ func (s *System) Access(p int, addr int64, write bool) {
 	}
 
 	pr.stats.L1Miss++
-	// Observability events go to the recorder, or under speculation to the
-	// scout's buffer (the executor replays it in schedule order at commit);
-	// either may be absent.
-	if sc == nil {
-		if s.rec != nil {
-			s.rec.L1Miss(p, 1)
-		}
-	} else if sc.buf != nil {
-		sc.buf.L1Miss(1)
+	if s.rec != nil {
+		s.rec.L1Miss(p, 1)
 	}
 	lat := int64(cfg.L2HitCyc)
 
 	// Address translation happens on the refill path.
-	if !pr.tlb.access(s.Pages.VPage(addr), sc) {
+	if !pr.tlb.access(s.Pages.VPage(addr)) {
 		pr.stats.TLBMiss++
 		lat += int64(cfg.TLBMissCyc)
 		pr.stats.TLBCyc += int64(cfg.TLBMissCyc)
-		if sc == nil {
-			if s.rec != nil {
-				s.rec.TLBMiss(p, pr.node, addr, int64(cfg.TLBMissCyc), pr.clock, 1)
-			}
-		} else if sc.buf != nil {
-			sc.buf.TLBMiss(pr.node, addr, int64(cfg.TLBMissCyc), pr.clock, 1)
+		if s.rec != nil {
+			s.rec.TLBMiss(p, pr.node, addr, int64(cfg.TLBMissCyc), pr.clock, 1)
 		}
 	}
 
-	// The directory entry is needed (and, under scout, copied) only when
-	// the line must be fetched or made exclusive.
+	// The directory entry is needed only when the line must be fetched or
+	// made exclusive.
 	l2line := addr >> s.l2Shift
 	slot := pr.l2.lookup(l2line)
-	var dbuf dirEntry
 	var d *dirEntry
 	if slot < 0 || (write && !pr.l2.excl[slot]) {
-		d = sc.openDir(s, l2line, &dbuf)
+		d = &s.dir[l2line]
 	}
 	if slot < 0 {
 		// L2 miss: fetch from home memory or intervening cache.
 		pr.stats.L2Miss++
 		if vp := addr >> s.Pages.PageShift(); vp < int64(len(s.pageMiss)) {
-			if sc != nil {
-				sc.pmiss = append(sc.pmiss, vp)
-			} else {
-				s.pageMiss[vp]++
-			}
+			s.pageMiss[vp]++
 		}
-		var home int
-		if sc == nil {
-			home = s.Pages.Touch(addr, pr.node)
-		} else if pg, ok := s.Pages.Lookup(addr); ok {
-			home = pg.Node
-		} else {
-			// First touch would allocate the page — a shared-state write.
-			sc.abort(AbortPageFault)
-			return
-		}
+		home := s.Pages.Touch(addr, pr.node)
 		if d.owner >= 0 && int(d.owner) != p {
 			// Dirty in another cache: cache-to-cache intervention.
-			if sc != nil {
-				sc.abort(AbortIntervention)
-				return
-			}
 			pr.stats.Interventions++
 			fetch := int64(cfg.RemoteLatency(pr.node, s.procs[d.owner].node) + cfg.CoherenceCyc)
 			if s.rec != nil {
@@ -794,24 +704,16 @@ func (s *System) Access(p int, addr int64, write bool) {
 			base := int64(cfg.RemoteLatency(pr.node, home))
 			// Node memory bandwidth: queue behind other requests in
 			// the same time window.
-			if wait := s.reserve(sc, home, pr.clock); wait > 0 {
+			if wait := s.reserve(home, pr.clock); wait > 0 {
 				lat += wait
 				pr.stats.WaitCyc += wait
-				if sc == nil {
-					if s.rec != nil {
-						s.rec.BWWait(p, home, wait, 1)
-					}
-				} else if sc.buf != nil {
-					sc.buf.BWWait(home, wait, 1)
+				if s.rec != nil {
+					s.rec.BWWait(p, home, wait, 1)
 				}
 			}
 			lat += base
-			if sc == nil {
-				if s.rec != nil {
-					s.rec.L2Miss(p, pr.node, home, addr, base, pr.clock, 1)
-				}
-			} else if sc.buf != nil {
-				sc.buf.L2Miss(pr.node, home, addr, base, pr.clock, 1)
+			if s.rec != nil {
+				s.rec.L2Miss(p, pr.node, home, addr, base, pr.clock, 1)
 			}
 		}
 		if home == pr.node {
@@ -820,33 +722,24 @@ func (s *System) Access(p int, addr int64, write bool) {
 			pr.stats.L2MissRemote++
 		}
 		victim, vs, vexcl := pr.l2.insert(l2line)
-		sc.jCachePost(pr.l2, vs, victim, vexcl)
 		if victim >= 0 {
-			s.evictL2(sc, p, victim, vexcl)
+			s.evictL2(p, victim, vexcl)
 		}
 		slot = vs
 		d.set(p)
-		sc.closeDir(l2line, d)
 	}
 
 	if write && !pr.l2.excl[slot] {
 		if d.othersThan(p) {
-			inv, ok := s.invalidateOthers(sc, p, d, l2line)
-			if !ok {
-				return
-			}
-			lat += inv
+			lat += s.invalidateOthers(p, d, l2line)
 		}
 		d.owner = int32(p)
-		sc.closeDir(l2line, d)
-		sc.jCache(pr.l2, slot)
 		pr.l2.excl[slot] = true
 	}
 
 	// Fill L1 (inclusion holds: L2 line present). L1 victims need no
 	// directory work; L2 still holds them.
-	v1, s1, v1excl := pr.l1.insert(l1line)
-	sc.jCachePost(pr.l1, s1, v1, v1excl)
+	_, s1, _ := pr.l1.insert(l1line)
 	pr.l1.excl[s1] = pr.l2.excl[slot]
 	pr.remember(l1line, s1)
 
@@ -867,24 +760,16 @@ func (s *System) LoadWord(p int, addr int64) uint64 {
 	pr := s.procs[p]
 	l1line := addr >> pr.l1.shift
 	m := l1line & l0Mask
-	if pr.l1.tags[pr.l0Slot[m]] == l1line && pr.sc == nil {
+	if pr.l1.tags[pr.l0Slot[m]] == l1line {
 		pr.stats.Loads++
 		pr.l1.lru[l1line&pr.l1.mask] = pr.l0Way[m]
 		pr.clock += pr.l1Hit
 		return s.mem[addr>>3]
 	}
-	return s.loadWordSlow(p, pr, addr)
+	return s.loadWordSlow(p, addr)
 }
 
-func (s *System) loadWordSlow(p int, pr *proc, addr int64) uint64 {
-	if sc := pr.sc; sc != nil {
-		// A scout reads through its store overlay; an aborted one reads 0.
-		s.accessWord(p, pr, addr, false)
-		if sc.aborted {
-			return 0
-		}
-		return sc.loadMem(s, addr)
-	}
+func (s *System) loadWordSlow(p int, addr int64) uint64 {
 	// Issue the host-side data load before the simulation walk: Access
 	// never reads or writes the backing store, and the walk's own work
 	// (tags, directory, TLB) then overlaps the host cache miss that a
@@ -901,25 +786,17 @@ func (s *System) StoreWord(p int, addr int64, v uint64) {
 	pr := s.procs[p]
 	l1line := addr >> pr.l1.shift
 	m := l1line & l0Mask
-	if slot := pr.l0Slot[m]; pr.l1.tags[slot] == l1line && pr.l1.excl[slot] && pr.sc == nil {
+	if slot := pr.l0Slot[m]; pr.l1.tags[slot] == l1line && pr.l1.excl[slot] {
 		pr.stats.Stores++
 		pr.l1.lru[l1line&pr.l1.mask] = pr.l0Way[m]
 		pr.clock += pr.l1Hit
 		s.mem[addr>>3] = v
 		return
 	}
-	s.storeWordSlow(p, pr, addr, v)
+	s.storeWordSlow(p, addr, v)
 }
 
-func (s *System) storeWordSlow(p int, pr *proc, addr int64, v uint64) {
-	if sc := pr.sc; sc != nil {
-		// A scout's store lands in its overlay; an aborted one stores nothing.
-		s.accessWord(p, pr, addr, true)
-		if !sc.aborted {
-			sc.mem.store(addr>>3, v)
-		}
-		return
-	}
+func (s *System) storeWordSlow(p int, addr int64, v uint64) {
 	// As in LoadWord, touch the backing store before the walk so the host
 	// write miss overlaps the simulation work (Access never touches mem).
 	s.mem[addr>>3] = v
@@ -1000,10 +877,9 @@ func (s *System) BulkTransfer(p, srcNode, dstNode int, bytes int64) int64 {
 	}
 	var waited int64
 	for i := int64(0); i < lines; i++ {
-		// Never a scout: the executor gates runtime calls out of epochs.
-		wait := s.reserve(nil, srcNode, t)
+		wait := s.reserve(srcNode, t)
 		if dstNode != srcNode {
-			if w := s.reserve(nil, dstNode, t+wait); w > 0 {
+			if w := s.reserve(dstNode, t+wait); w > 0 {
 				wait += w
 			}
 		}

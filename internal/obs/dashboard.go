@@ -134,13 +134,10 @@ CATS.forEach(function (c) {
 });
 
 function renderMeta(snap) {
-  var e = snap.engine || {};
   document.getElementById("meta").innerHTML =
     "<b>" + snap.machine + "</b> &#183; " + snap.procs + " procs / " + snap.nodes +
     " nodes &#183; clock <b>" + fmt(snap.clock) + "</b> cycles &#183; " +
-    fmt(snap.samples) + " samples &#183; epochs " + fmt(e.epochs_committed) +
-    " committed / " + fmt(e.epochs_fallback) + " fallback / " + fmt(e.epochs_skipped) +
-    " skipped &#183; " +
+    fmt(snap.samples) + " samples &#183; " +
     (snap.done ? "<b>finished</b>" : "running");
 }
 

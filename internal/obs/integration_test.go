@@ -244,55 +244,50 @@ func TestRecorderDoesNotPerturbSimulation(t *testing.T) {
 	}
 
 	// Streaming must be equally invisible: with the trace spooling to disk
-	// and the cycle-sampled series on, under both engines, every simulated
-	// cycle and counter stays bit-identical to the unobserved run.
-	for _, eng := range []exec.Engine{exec.EngineSerial, exec.EngineParallel} {
-		cfg := machine.Scaled(4)
-		srec := obs.NewRecorder(cfg)
-		srec.EnableTrace(0)
-		sink, err := obs.NewSpoolSink(filepath.Join(t.TempDir(), "trace.spool"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		srec.SetTraceSink(sink)
-		srec.EnableSeries(20000, nil)
-		tc := core.New()
-		tc.Rec = srec
-		img, err := tc.Build(map[string]string{"main.f": src})
-		if err != nil {
-			t.Fatalf("%v build: %v", eng, err)
-		}
-		res, err := core.Run(img, cfg, core.RunOptions{
-			Policy: ospage.FirstTouch, Rec: srec, Engine: eng, Workers: 4})
-		if err != nil {
-			t.Fatalf("%v run: %v", eng, err)
-		}
-		if res.Cycles != plain.Cycles {
-			t.Errorf("%v engine with streaming changed the simulation: %d cycles, plain %d",
-				eng, res.Cycles, plain.Cycles)
-		}
-		if res.Total != plain.Total {
-			t.Errorf("%v engine with streaming changed the counters:\n plain    %+v\n streamed %+v",
-				eng, plain.Total, res.Total)
-		}
-		if err := sink.Close(); err != nil {
-			t.Fatalf("%v spool close: %v", eng, err)
-		}
-		spooled, err := os.Open(sink.Path())
-		if err != nil {
-			t.Fatal(err)
-		}
-		evs, err := obs.ReadSpool(spooled)
-		spooled.Close()
-		if err != nil {
-			t.Fatalf("%v spool unreadable: %v", eng, err)
-		}
-		if int64(len(evs)) != srec.TraceCount() || srec.TraceDropped() != 0 {
-			t.Errorf("%v spool holds %d events, recorder saw %d (%d dropped)",
-				eng, len(evs), srec.TraceCount(), srec.TraceDropped())
-		}
-		if len(srec.SeriesRows()) == 0 {
-			t.Errorf("%v run produced no series rows", eng)
-		}
+	// and the cycle-sampled series on, every simulated cycle and counter
+	// stays bit-identical to the unobserved run.
+	scfg := machine.Scaled(4)
+	srec := obs.NewRecorder(scfg)
+	srec.EnableTrace(0)
+	sink, err := obs.NewSpoolSink(filepath.Join(t.TempDir(), "trace.spool"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srec.SetTraceSink(sink)
+	srec.EnableSeries(20000, nil)
+	tc := core.New()
+	tc.Rec = srec
+	img, err := tc.Build(map[string]string{"main.f": src})
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	res, err := core.Run(img, scfg, core.RunOptions{Policy: ospage.FirstTouch, Rec: srec})
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if res.Cycles != plain.Cycles {
+		t.Errorf("streaming changed the simulation: %d cycles, plain %d", res.Cycles, plain.Cycles)
+	}
+	if res.Total != plain.Total {
+		t.Errorf("streaming changed the counters:\n plain    %+v\n streamed %+v", plain.Total, res.Total)
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatalf("spool close: %v", err)
+	}
+	spooled, err := os.Open(sink.Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs, err := obs.ReadSpool(spooled)
+	spooled.Close()
+	if err != nil {
+		t.Fatalf("spool unreadable: %v", err)
+	}
+	if int64(len(evs)) != srec.TraceCount() || srec.TraceDropped() != 0 {
+		t.Errorf("spool holds %d events, recorder saw %d (%d dropped)",
+			len(evs), srec.TraceCount(), srec.TraceDropped())
+	}
+	if len(srec.SeriesRows()) == 0 {
+		t.Error("run produced no series rows")
 	}
 }

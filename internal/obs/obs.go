@@ -142,11 +142,9 @@ type PageHeat struct {
 }
 
 // ProcObs is the recorder's per-processor view: the subset of the memory
-// system's ProcStats that flows through observability events. Unlike
-// memsim.ProcStats — which can only be read coherently at points where the
-// two engines' host schedules agree — these counters are accumulated from
-// the recorder event stream itself, which is byte-identical across engines,
-// so per-proc snapshot deltas built from them are engine-independent.
+// system's ProcStats that flows through observability events, accumulated
+// from the recorder event stream itself so that per-proc snapshot deltas
+// are a pure function of that stream.
 type ProcObs struct {
 	L1Miss     int64 `json:"l1_miss"`
 	LocalMiss  int64 `json:"l2_miss_local"`
@@ -264,13 +262,6 @@ type Recorder struct {
 
 	// procObs accumulates the per-processor event view (see ProcObs).
 	procObs []ProcObs
-
-	// Engine health, published by the parallel engine at each epoch
-	// boundary (EpochCommitted / EpochFallback). Host-side diagnostics
-	// only: the counters never feed the snapshot time-series rows, which
-	// must stay engine-independent, but the live /snapshot view reports
-	// them.
-	engine SnapshotEngine
 }
 
 // NewRecorder creates a recorder for one run on the given machine.
@@ -434,7 +425,7 @@ func (r *Recorder) NPages() int64 { return int64(len(r.pages)) }
 // advanceNow moves the recorder's simulated-time watermark forward and
 // fires any due snapshot sample. Every hook that learns a clock funnels
 // through here, so the sampling decision is a pure function of the event
-// stream — which both engines reproduce byte for byte.
+// stream.
 func (r *Recorder) advanceNow(clock int64) {
 	if clock > r.now {
 		r.now = clock
@@ -779,40 +770,6 @@ func (r *Recorder) Finish(finalClock int64) {
 	if r.series != nil {
 		r.series.sample(r, true)
 	}
-	if r.trace != nil {
-		r.trace.flushSink()
-	}
-}
-
-// EpochCommitted and EpochFallback record the disposition of one
-// parallel-engine epoch: committed (scout results replayed verbatim) or
-// fallback (re-run serially, for the named cause, with the governor sitting
-// out the next `skipped` epochs in the same serial window). Host-side
-// diagnostics only — they must not advance the simulated-time watermark or
-// touch anything the snapshot series reads, because the serial engine never
-// calls them and series rows are engine-independent. An epoch boundary is
-// also a flush point for the stream sink: everything replayed so far is in
-// serial event order.
-func (r *Recorder) EpochCommitted() {
-	if r == nil {
-		return
-	}
-	r.engine.EpochsCommitted++
-	if r.trace != nil {
-		r.trace.flushSink()
-	}
-}
-
-func (r *Recorder) EpochFallback(cause string, skipped int64) {
-	if r == nil {
-		return
-	}
-	r.engine.EpochsFallback++
-	r.engine.EpochsSkipped += skipped
-	if r.engine.FallbackCauses == nil {
-		r.engine.FallbackCauses = map[string]int64{}
-	}
-	r.engine.FallbackCauses[cause]++
 	if r.trace != nil {
 		r.trace.flushSink()
 	}

@@ -3,8 +3,8 @@
 // event counts, per-processor counters, per-region cycle categories and
 // per-array×node heat. Sampling is keyed to the simulated clock observed
 // through the event stream, never host time, and every value in a row is
-// derived from that stream, so the series is byte-identical across the
-// serial and parallel engines and across repeated runs.
+// derived from that stream, so the series is byte-identical across
+// repeated runs.
 //
 // Row schema (v=1), one JSON object per line:
 //
@@ -17,9 +17,7 @@
 //
 // clock is the sample boundary that triggered the row (a multiple of the
 // interval; the final row uses the finish clock), now the actual watermark
-// when it fired. Zero deltas are omitted. Engine health (epoch outcomes)
-// is deliberately absent: it is engine-dependent and lives only in the
-// live snapshot view.
+// when it fired. Zero deltas are omitted.
 package obs
 
 import (
@@ -81,32 +79,19 @@ type seriesRow struct {
 	Final   bool             `json:"final,omitempty"`
 }
 
-// SnapshotEngine is the engine-health block of a live snapshot: the
-// parallel engine's epochs that committed, fell back (by cause), and were
-// sat out by the speculation governor. All zero under the serial engine;
-// host-side diagnostics that appear nowhere but here.
-type SnapshotEngine struct {
-	EpochsCommitted int64            `json:"epochs_committed"`
-	EpochsFallback  int64            `json:"epochs_fallback"`
-	EpochsSkipped   int64            `json:"epochs_skipped"`
-	FallbackCauses  map[string]int64 `json:"fallback_causes,omitempty"`
-}
-
 // Snapshot is the live /snapshot document: the recorder's current
-// cumulative state, rebuilt at every sample boundary. Unlike series rows
-// it may include engine-dependent fields.
+// cumulative state, rebuilt at every sample boundary.
 type Snapshot struct {
-	V            int            `json:"v"`
-	Done         bool           `json:"done"`
-	Clock        int64          `json:"clock"`
-	Machine      string         `json:"machine"`
-	Procs        int            `json:"procs"`
-	Nodes        int            `json:"nodes"`
-	SampleCycles int64          `json:"sample_cycles"`
-	Samples      int64          `json:"samples"`
-	Engine       SnapshotEngine `json:"engine"`
-	ProcObs      []ProcObs      `json:"proc_obs"`
-	Summary      *Summary       `json:"summary"`
+	V            int       `json:"v"`
+	Done         bool      `json:"done"`
+	Clock        int64     `json:"clock"`
+	Machine      string    `json:"machine"`
+	Procs        int       `json:"procs"`
+	Nodes        int       `json:"nodes"`
+	SampleCycles int64     `json:"sample_cycles"`
+	Samples      int64     `json:"samples"`
+	ProcObs      []ProcObs `json:"proc_obs"`
+	Summary      *Summary  `json:"summary"`
 }
 
 // Series holds the sampling state. The mutex guards only the published
@@ -350,7 +335,6 @@ func (s *Series) publishSnapshot(r *Recorder) {
 		Procs:        r.cfg.NProcs,
 		Nodes:        r.nnodes,
 		SampleCycles: s.interval,
-		Engine:       r.engine,
 		ProcObs:      r.ProcObsAll(),
 		Summary:      r.Summarize(10),
 	}

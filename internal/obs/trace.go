@@ -11,8 +11,8 @@
 //     them at the end of the run; events past the cap are counted as
 //     dropped.
 //   - streaming (SetTraceSink): events drain to a StreamSink at flush
-//     points (region boundaries, parallel-engine epoch commits, Finish,
-//     and every sinkFlushEvery events), so memory stays bounded by the
+//     points (region boundaries, Finish, and every sinkFlushEvery
+//     events), so memory stays bounded by the
 //     flush interval and a crash mid-run leaves a loadable partial spool.
 package obs
 
@@ -152,10 +152,7 @@ func (t *Trace) add(ev TraceEvent) {
 	}
 }
 
-// flushSink hands buffered events to the sink in order. Only called at
-// points where the event stream is in its committed serial order (the
-// recorder is single-threaded under both engines, and the parallel engine
-// only reaches flush points after replaying an epoch).
+// flushSink hands buffered events to the sink in order.
 func (t *Trace) flushSink() {
 	if t.sink == nil || len(t.events) == 0 {
 		return

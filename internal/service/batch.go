@@ -1,6 +1,6 @@
 // Batched submission: POST /batch admits a whole sweep's worth of job
 // specs in one request. Elements share defaults (tenant, machine,
-// engine, ...), are admitted atomically against the queue bound —
+// policy, ...), are admitted atomically against the queue bound —
 // either every element that needs a queue slot fits, or nothing is
 // admitted and the whole batch gets 429 — and each element individually
 // takes the cheapest path available: persisted result, coalesce onto an
@@ -56,9 +56,6 @@ func merged(def, el JobRequest) JobRequest {
 	}
 	if el.Quantum == 0 {
 		el.Quantum = def.Quantum
-	}
-	if el.Engine == "" {
-		el.Engine = def.Engine
 	}
 	if el.Tenant == "" {
 		el.Tenant = def.Tenant

@@ -294,7 +294,7 @@ func TestOversizedBodyRejected(t *testing.T) {
 }
 
 // TestUnknownRequestFieldRejected: a misspelt field ("proc") or a retired
-// one ("redist", "tier") is a 400 naming the field on both POST /jobs and
+// one ("redist", "tier", "engine") is a 400 naming the field on both POST /jobs and
 // POST /batch — never a silently defaulted job cached under the key of the
 // request the client meant to send.
 func TestUnknownRequestFieldRejected(t *testing.T) {
@@ -304,7 +304,7 @@ func TestUnknownRequestFieldRejected(t *testing.T) {
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
 	before := srv.ServerStats()
-	for field, value := range map[string]string{"proc": `16`, "redist": `"serial"`, "tier": `"classic"`} {
+	for field, value := range map[string]string{"proc": `16`, "redist": `"serial"`, "tier": `"classic"`, "engine": `"serial"`} {
 		job := fmt.Sprintf(`{"sources":{"x.f":"p"},"machine":"tiny",%q:%s}`, field, value)
 		for path, body := range map[string]string{
 			"/jobs":  job,

@@ -80,7 +80,6 @@ func TestSeriesEndpointMatchesLocalRun(t *testing.T) {
 	if _, err := core.Run(img, cfg, core.RunOptions{
 		Policy:  spec.Policy,
 		Quantum: spec.Quantum,
-		Engine:  spec.engine,
 		Rec:     rec,
 	}); err != nil {
 		t.Fatal(err)

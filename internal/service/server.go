@@ -5,7 +5,7 @@
 // core.BuildCache for compiled images and a persistent disk Store
 // (store.go) holding both compile entries and run-result documents.
 //
-// The simulator is deterministic (bit-identical across engines and tiers),
+// The simulator is deterministic (bit-identical across tiers and runs),
 // so a run result is a pure function of its JobSpec: N users submitting
 // the same job cost one simulation, ever. Three mechanisms enforce that:
 //
@@ -31,7 +31,6 @@ import (
 
 	"dsmdist/internal/codegen"
 	"dsmdist/internal/core"
-	"dsmdist/internal/exec"
 	"dsmdist/internal/hostpool"
 	"dsmdist/internal/link"
 	"dsmdist/internal/machine"
@@ -76,15 +75,12 @@ type JobRequest struct {
 	RuntimeChecks *bool `json:"runtime_checks,omitempty"`
 	// Quantum overrides the interleave granularity (0 = default).
 	Quantum int `json:"quantum,omitempty"`
-	// Engine picks the host execution engine (default auto). It is NOT
-	// part of the cache key: results are bit-identical across engines.
-	Engine string `json:"engine,omitempty"`
 	// Tenant attributes the job for per-tenant concurrency limiting
 	// (default "default").
 	Tenant string `json:"tenant,omitempty"`
 	// Sample sets the live-series sampling interval in simulated cycles
-	// (0 = the obs default). Host-side observability only: like Engine it
-	// is NOT part of the cache key, and a submission served from the
+	// (0 = the obs default). Host-side observability only: it is NOT part
+	// of the cache key, and a submission served from the
 	// result cache has no series of its own.
 	Sample int64 `json:"sample,omitempty"`
 	// NoWait makes POST /jobs return immediately with the queued job
@@ -96,7 +92,6 @@ type JobRequest struct {
 // host-side knobs that are deliberately outside it.
 type jobSpec struct {
 	core.JobSpec
-	engine exec.Engine
 	sample int64
 	mach   func(int) *machine.Config
 	tenant string
@@ -265,10 +260,6 @@ func validate(req *JobRequest) (jobSpec, error) {
 	default:
 		return spec, fmt.Errorf("service: unknown opt level %q (accepted: O0, O1, O2, O3)", req.Opt)
 	}
-	engine, err := exec.ParseEngine(orDefault(req.Engine, "auto"))
-	if err != nil {
-		return spec, fmt.Errorf("service: %w", err)
-	}
 	checks := true
 	if req.RuntimeChecks != nil {
 		checks = *req.RuntimeChecks
@@ -289,7 +280,6 @@ func validate(req *JobRequest) (jobSpec, error) {
 		Policy:        policy,
 		Quantum:       req.Quantum,
 	}
-	spec.engine = engine
 	spec.sample = req.Sample
 	spec.tenant = orDefault(req.Tenant, "default")
 	return spec, nil
@@ -592,7 +582,6 @@ func (s *Server) simulate(j *Job) ([]byte, error) {
 	run, err := core.Run(img, cfg, core.RunOptions{
 		Policy:  j.spec.Policy,
 		Quantum: j.spec.Quantum,
-		Engine:  j.spec.engine,
 		Rec:     rec,
 	})
 	if err != nil {

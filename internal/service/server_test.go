@@ -363,7 +363,6 @@ func TestServerValidation(t *testing.T) {
 		{Sources: map[string]string{"x.f": "p"}, Procs: -1},
 		{Sources: map[string]string{"x.f": "p"}, Policy: "random"},
 		{Sources: map[string]string{"x.f": "p"}, Opt: "O9"},
-		{Sources: map[string]string{"x.f": "p"}, Engine: "sideways"},
 		{Sources: map[string]string{"x.f": "p"}, Quantum: -5},
 	}
 	for i, req := range bad {
